@@ -481,12 +481,21 @@ mod tests {
     }
 
     fn local_set(dir: &TempDir, ds: &Dataset, k: usize) -> ShardSet<LocalShard> {
+        local_set_with(dir, ds, k, BuildOptions::default())
+    }
+
+    fn local_set_with(
+        dir: &TempDir,
+        ds: &Dataset,
+        k: usize,
+        opts: BuildOptions,
+    ) -> ShardSet<LocalShard> {
         let mut shards = Vec::new();
         for (i, range) in partition(ds.len(), k).into_iter().enumerate() {
             let lsm = Arc::new(
                 LsmCoconut::new_based(
                     small_config(),
-                    BuildOptions::default(),
+                    opts.clone(),
                     dir.path().join(format!("shard-{i}")),
                     range.start,
                 )
@@ -566,26 +575,36 @@ mod tests {
 
     #[test]
     fn bounded_queries_recover_unbounded_answers() {
-        let dir = TempDir::new("backend").unwrap();
-        let ds = setup(&dir, 300);
-        let set = local_set(&dir, &ds, 2);
-        let q = query(9);
-        let shard = &set.shards()[0];
-        let unbounded = shard.exact(&q, f64::INFINITY, Deadline::NONE).unwrap();
-        assert!(unbounded.is_some());
-        // A bound below the shard's best suppresses the candidate entirely.
-        let suppressed = shard
-            .exact(&q, unbounded.dist / 2.0, Deadline::NONE)
-            .unwrap();
-        assert!(!suppressed.is_some());
-        // A bound just above it returns the identical answer.
-        let loose = shard
-            .exact(&q, unbounded.dist * 2.0, Deadline::NONE)
-            .unwrap();
-        assert_eq!(
-            (loose.pos, loose.dist.to_bits()),
-            (unbounded.pos, unbounded.dist.to_bits())
-        );
+        let bits = |hits: &[Answer]| -> Vec<(u64, u64)> {
+            hits.iter().map(|a| (a.pos, a.dist.to_bits())).collect()
+        };
+        for opts in [
+            BuildOptions::default(),
+            BuildOptions::default().materialized(),
+        ] {
+            let dir = TempDir::new("backend").unwrap();
+            let ds = setup(&dir, 300);
+            let set = local_set_with(&dir, &ds, 2, opts);
+            let q = query(9);
+            let shard = &set.shards()[0];
+            for k in [1usize, 3] {
+                let unbounded = shard.knn(&q, k, f64::INFINITY, Deadline::NONE).unwrap();
+                assert_eq!(unbounded.len(), k);
+                // A bound at or below the shard's best suppresses every
+                // candidate, the approximate seed included.
+                for bound in [unbounded[0].dist / 2.0, unbounded[0].dist] {
+                    let suppressed = shard.knn(&q, k, bound, Deadline::NONE).unwrap();
+                    assert!(suppressed.is_empty(), "k={k} bound={bound}: {suppressed:?}");
+                }
+                // A bound at the k-th best returns exactly the hits below it.
+                let kth = unbounded[k - 1].dist;
+                let below = shard.knn(&q, k, kth, Deadline::NONE).unwrap();
+                assert_eq!(bits(&below), bits(&unbounded[..k - 1]), "k={k}");
+                // A bound above it returns the identical answer.
+                let loose = shard.knn(&q, k, kth * 2.0, Deadline::NONE).unwrap();
+                assert_eq!(bits(&loose), bits(&unbounded), "k={k}");
+            }
+        }
     }
 
     #[test]

@@ -343,19 +343,26 @@ pub fn sims_exact_knn_bounded(
         return Ok((Vec::new(), stats));
     }
     deadline.check()?;
-    // A simple bounded set: k is small (the paper's experiments use 1).
-    let mut best: Vec<Answer> = Vec::with_capacity(k + 1);
-    let insert = |best: &mut Vec<Answer>, a: Answer| {
-        if best.iter().any(|b| b.pos == a.pos) {
-            return;
+    // A simple bounded set (k is small; the paper's experiments use 1),
+    // ascending by squared distance, each entry carrying the squared
+    // distance it was admitted with. A candidate enters when it beats the
+    // k-th best in squared space (the 1-NN scan's test, so k = 1 is
+    // bit-identical to it) and its distance lies below `bound`.
+    let bound_sq = bound * bound;
+    let mut best: Vec<(Answer, f64)> = Vec::with_capacity(k + 1);
+    let insert = |best: &mut Vec<(Answer, f64)>, a: Answer, d_sq: f64| {
+        if let Some(at) = best.iter().position(|b| b.0.pos == a.pos) {
+            best.remove(at);
         }
-        let at = best.partition_point(|b| b.dist <= a.dist);
-        best.insert(at, a);
+        let at = best.partition_point(|b| b.1 <= d_sq);
+        best.insert(at, (a, d_sq));
         best.truncate(k);
     };
     for &a in seed {
-        if a.is_some() {
-            insert(&mut best, a);
+        let d_sq = a.dist * a.dist;
+        let cutoff_sq = best.get(k - 1).map_or(bound_sq, |b| b.1);
+        if a.is_some() && a.dist < bound && d_sq <= cutoff_sq {
+            insert(&mut best, a, d_sq);
         }
     }
     let mindists = parallel_mindists(query_paa, keys, config, threads);
@@ -365,35 +372,25 @@ pub fn sims_exact_knn_bounded(
     for (i, &md) in mindists.iter().enumerate() {
         checkpoint(deadline, i)?;
         // The k-th best so far caps the scan as usual; the external bound
-        // caps it even while the local set is not yet full (seeds may sit
-        // beyond the bound, so take the min rather than trusting them).
-        let cutoff = if best.len() == k {
-            best[k - 1].dist.min(bound)
-        } else {
-            bound
-        };
+        // caps it while the local set is not yet full (every admitted entry
+        // lies below the bound, so a full set's k-th entry is the tighter).
+        let (cutoff, cutoff_sq) = best
+            .get(k - 1)
+            .map_or((bound, bound_sq), |b| (b.0.dist, b.1));
         if md >= cutoff {
             stats.pruned += 1;
             continue;
         }
         let pos = fetcher.fetch(i, &mut buf)?;
         stats.records_fetched += 1;
-        let cutoff_sq = if cutoff.is_finite() {
-            cutoff * cutoff
-        } else {
-            f64::INFINITY
-        };
         if let Some(d_sq) = euclidean_sq_early_abandon(query, &buf, cutoff_sq) {
-            insert(
-                &mut best,
-                Answer {
-                    pos,
-                    dist: d_sq.sqrt(),
-                },
-            );
+            let dist = d_sq.sqrt();
+            if d_sq < cutoff_sq && dist < bound {
+                insert(&mut best, Answer { pos, dist }, d_sq);
+            }
         }
     }
-    Ok((best, stats))
+    Ok((best.into_iter().map(|b| b.0).collect(), stats))
 }
 
 #[cfg(test)]

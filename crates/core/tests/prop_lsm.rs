@@ -4,6 +4,7 @@
 //! `LsmCoconut::open` always recovers a consistent run set — contiguous
 //! coverage, no orphan run directories, no leftover manifest temp — and
 //! that exact queries over the recovered prefix match a brute-force oracle.
+//! A second property pins exact 1-NN to k-NN with k = 1 across runs.
 
 use std::sync::Arc;
 
@@ -13,7 +14,7 @@ use coconut_series::distance::{euclidean, znormalize};
 use coconut_series::gen::{Generator, RandomWalkGen};
 use coconut_series::index::{Answer, SeriesIndex};
 use coconut_series::Value;
-use coconut_storage::{IoStats, TempDir};
+use coconut_storage::{Deadline, IoStats, TempDir};
 use proptest::prelude::*;
 
 const LEN: usize = 32;
@@ -175,5 +176,63 @@ proptest! {
         lsm.ingest(&dataset).unwrap();
         prop_assert_eq!(lsm.covered_end(), all.len() as u64);
         check_recovered(&lsm, &idx_dir, &all, seed ^ 0xF1FA);
+    }
+
+    /// Exact 1-NN is k-NN with k = 1: over random multi-run LSMs (raw and
+    /// materialized), random queries (half of them dataset members) and
+    /// bounds {inf, 0.5, 1, 2} x the true best distance, the bounded 1-NN
+    /// merge and the bounded k = 1 merge agree on the position, the
+    /// distance bits and the records fetched.
+    #[test]
+    fn exact_bounded_equals_knn_k1_across_runs(
+        n in 80usize..240,
+        runs in 2u64..4,
+        materialized in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        let dir = TempDir::new("prop-lsm-k1").unwrap();
+        let stats = Arc::new(IoStats::new());
+        let mut gen = RandomWalkGen::new(seed);
+        let mut all: Vec<Vec<Value>> = Vec::new();
+        let dataset = grow(&dir.path().join("data.bin"), &stats, &mut gen, &mut all, n);
+        let opts = BuildOptions {
+            materialized,
+            ..BuildOptions::default()
+        };
+        let lsm = LsmCoconut::new(config(), opts, dir.path().join("idx")).unwrap();
+        for r in 1..=runs {
+            lsm.ingest_upto(&dataset, n as u64 * r / runs).unwrap();
+        }
+        lsm.wait_for_compactions().unwrap();
+        let snap = lsm.snapshot();
+        prop_assert!(snap.run_count() >= 2, "runs {}", snap.run_count());
+        for qi in 0..6u64 {
+            let q = if qi % 2 == 0 {
+                all[(seed as usize * 7 + qi as usize) % n].clone()
+            } else {
+                let mut q = RandomWalkGen::new(seed ^ (qi << 20)).generate(LEN);
+                znormalize(&mut q);
+                q
+            };
+            let best = brute_force(&all, &q).dist;
+            for bound in [f64::INFINITY, 0.5 * best, best, 2.0 * best] {
+                let (one, one_stats) = snap.exact_bounded(&q, bound, Deadline::NONE).unwrap();
+                let (k1, k1_stats) = snap.exact_knn_bounded(&q, 1, bound, Deadline::NONE).unwrap();
+                let k1 = k1.first().copied().unwrap_or(Answer::none());
+                prop_assert_eq!(one.is_some(), k1.is_some(), "bound {}", bound);
+                if one.is_some() {
+                    prop_assert_eq!(
+                        (one.pos, one.dist.to_bits()),
+                        (k1.pos, k1.dist.to_bits()),
+                        "bound {}", bound
+                    );
+                }
+                prop_assert_eq!(
+                    one_stats.records_fetched,
+                    k1_stats.records_fetched,
+                    "bound {}", bound
+                );
+            }
+        }
     }
 }
