@@ -419,8 +419,9 @@ fn run_k(
         report.latencies_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         report.requests += 1;
         let remote = parse_answer(&reply)?;
-        let local = oracle.exact(q, Deadline::NONE)?;
-        let (single_ans, _) = single.exact(q, Deadline::NONE)?;
+        let local = oracle.knn(q, 1, false, Deadline::NONE)?.value;
+        let local = local.first().copied().unwrap_or(Answer::none());
+        let (single_ans, _) = single.exact_bounded(q, f64::INFINITY, Deadline::NONE)?;
         if !same_answer(&remote, &local) || !same_answer(&remote, &single_ans) {
             report.divergences += 1;
             eprintln!(
@@ -438,7 +439,7 @@ fn run_k(
         report.latencies_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         report.requests += 1;
         let remote = parse_hits(&reply)?;
-        let local = oracle.knn(q, KNN_K, Deadline::NONE)?;
+        let local = oracle.knn(q, KNN_K, false, Deadline::NONE)?.value;
         let (single_hits, _) = single.exact_knn(q, KNN_K, Deadline::NONE)?;
         if !same_hits(&remote, &local) || !same_hits(&remote, &single_hits) {
             report.divergences += 1;
@@ -461,7 +462,7 @@ fn run_k(
         report.latencies_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         report.requests += 1;
         let remote = parse_hits(&reply)?;
-        let local = oracle.range(q, eps, Deadline::NONE)?;
+        let local = oracle.range(q, eps, false, Deadline::NONE)?.value;
         let (single_hits, _) = single.exact_range(q, eps, Deadline::NONE)?;
         if !same_hits(&remote, &local) || !same_hits(&remote, &single_hits) {
             report.divergences += 1;

@@ -2,7 +2,7 @@
 
 use coconut_core::{BuildOptions, CoconutTree, IndexConfig};
 use coconut_series::index::{QueryStats, SeriesIndex};
-use coconut_storage::Result;
+use coconut_storage::{Deadline, Result};
 use coconut_summary::SaxConfig;
 
 use crate::data::{prepare, DataKind, Workload};
@@ -268,7 +268,7 @@ fn exact_radius_tables(env: &Env) -> Result<(Table, Table)> {
         let mut stats = QueryStats::default();
         let (_, m) = crate::harness::measure(&w.stats, || {
             for q in &w.queries {
-                let (_, s) = tree.exact_search_with_radius(q, radius)?;
+                let (_, s) = tree.exact_knn(q, 1, Some(radius), f64::INFINITY, Deadline::NONE)?;
                 stats.add(&s);
             }
             Ok(())

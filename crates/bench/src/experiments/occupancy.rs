@@ -25,8 +25,9 @@ use coconut_core::{BuildOptions, CoconutTrie, IndexConfig, SplitPolicyKind};
 use coconut_series::dataset::{Dataset, DatasetWriter};
 use coconut_series::distance::{euclidean, znormalize};
 use coconut_series::gen::{Generator, RandomWalkGen};
+use coconut_series::index::SeriesIndex;
 use coconut_series::Value;
-use coconut_storage::{Error, IoStats, Result};
+use coconut_storage::{Deadline, Error, IoStats, Result};
 use coconut_summary::SaxConfig;
 
 use crate::data::{prepare, DataKind};
@@ -154,8 +155,8 @@ fn check_answers(
     queries: &[Vec<Value>],
 ) -> Result<()> {
     for (qi, q) in queries.iter().enumerate() {
-        let (af, _) = fixed.exact_search(q)?;
-        let (aa, _) = adaptive.exact_search(q)?;
+        let (af, _) = fixed.exact(q)?;
+        let (aa, _) = adaptive.exact(q)?;
         if aa.pos != af.pos || aa.dist.to_bits() != af.dist.to_bits() {
             return Err(Error::corrupt(format!(
                 "{dataset_name} query {qi}: exact answer diverged across \
@@ -169,8 +170,8 @@ fn check_answers(
                  brute-force oracle"
             )));
         }
-        let (kf, _) = fixed.exact_knn(q, 5)?;
-        let (ka, _) = adaptive.exact_knn(q, 5)?;
+        let (kf, _) = fixed.exact_knn(q, 5, None, f64::INFINITY, Deadline::NONE)?;
+        let (ka, _) = adaptive.exact_knn(q, 5, None, f64::INFINITY, Deadline::NONE)?;
         let same_knn = kf.len() == ka.len()
             && kf
                 .iter()
@@ -182,8 +183,8 @@ fn check_answers(
             )));
         }
         let eps = af.dist * 1.5;
-        let (rf, _) = fixed.exact_range(q, eps)?;
-        let (ra, _) = adaptive.exact_range(q, eps)?;
+        let (rf, _) = fixed.exact_range(q, eps, Deadline::NONE)?;
+        let (ra, _) = adaptive.exact_range(q, eps, Deadline::NONE)?;
         let mut pf: Vec<u64> = rf.iter().map(|a| a.pos).collect();
         let mut pa: Vec<u64> = ra.iter().map(|a| a.pos).collect();
         pf.sort_unstable();

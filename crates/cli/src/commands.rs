@@ -10,9 +10,9 @@ use coconut_core::{
 use coconut_series::dataset::{write_dataset, Dataset};
 use coconut_series::distance::znormalize;
 use coconut_series::gen::{AstronomyGen, Generator, RandomWalkGen, SeismicGen};
-use coconut_series::index::SeriesIndex;
+use coconut_series::index::{Answer, SeriesIndex};
 use coconut_series::Value;
-use coconut_storage::{Error, IoStats, Result};
+use coconut_storage::{Deadline, Error, IoStats, Result};
 use coconut_summary::SaxConfig;
 
 use crate::args::Command;
@@ -174,7 +174,7 @@ pub fn run(cmd: Command) -> Result<()> {
             let t0 = Instant::now();
             if let Some(eps) = range_eps {
                 let (hits, qstats) = match &idx {
-                    AnyIndex::Tree(t) => t.exact_range(&query, eps)?,
+                    AnyIndex::Tree(t) => t.exact_range(&query, eps, Deadline::NONE)?,
                     AnyIndex::Trie(_) => {
                         return Err(Error::invalid("range queries require a ctree index"))
                     }
@@ -205,7 +205,9 @@ pub fn run(cmd: Command) -> Result<()> {
                 println!("time {:.1} ms", t0.elapsed().as_secs_f64() * 1e3);
             } else if k > 1 {
                 let (hits, qstats) = match &idx {
-                    AnyIndex::Tree(t) => t.exact_knn(&query, k)?,
+                    AnyIndex::Tree(t) => {
+                        t.exact_knn(&query, k, None, f64::INFINITY, Deadline::NONE)?
+                    }
                     AnyIndex::Trie(_) => {
                         return Err(Error::invalid("k-NN queries require a ctree index"))
                     }
@@ -216,10 +218,15 @@ pub fn run(cmd: Command) -> Result<()> {
                 }
                 report_time(t0, &qstats);
             } else {
-                let (ans, qstats) = match &idx {
-                    AnyIndex::Tree(t) => t.exact_search_with_radius(&query, radius)?,
-                    AnyIndex::Trie(t) => t.exact_search_with_radius(&query, radius)?,
+                let (top, qstats) = match &idx {
+                    AnyIndex::Tree(t) => {
+                        t.exact_knn(&query, 1, Some(radius), f64::INFINITY, Deadline::NONE)?
+                    }
+                    AnyIndex::Trie(t) => {
+                        t.exact_knn(&query, 1, Some(radius), f64::INFINITY, Deadline::NONE)?
+                    }
                 };
+                let ans = top.first().copied().unwrap_or(Answer::none());
                 println!("exact nearest: #{} at {:.4}", ans.pos, ans.dist);
                 report_time(t0, &qstats);
             }

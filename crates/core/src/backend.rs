@@ -18,29 +18,30 @@
 //!
 //! # Scatter-gather with pruning-bound sharing
 //!
-//! EXACT and KNN queries visit shards **in ascending position order**,
-//! passing each shard the best bound merged from the shards before it (the
-//! best distance for 1-NN, the k-th best for k-NN). A later shard therefore
-//! prunes with earlier shards' results and returns only candidates that
-//! could still enter the global answer. Dropping candidates at or beyond
-//! the bound is exact, not heuristic: the global order is `(dist, pos)`,
-//! and every existing entry at the bound has a strictly lower position
-//! (earlier shard), so a later tie could never displace it. RANGE queries
-//! have no bound to share and scatter to all shards concurrently.
+//! Exact search is k-NN with k = 1, so the fabric has two query walks.
+//! KNN visits shards **in ascending position order**, passing each shard
+//! the k-th best distance merged from the shards before it as its pruning
+//! bound. A later shard therefore prunes with earlier shards' results and
+//! returns only candidates that could still enter the global answer.
+//! Dropping candidates at or beyond the bound is exact, not heuristic: the
+//! global order is `(dist, pos)`, and every existing entry at the bound has
+//! a strictly lower position (earlier shard), so a later tie could never
+//! displace it. RANGE queries have no bound to share and scatter to all
+//! shards concurrently.
 //!
-//! # Graceful degradation
+//! # Strict and degraded serving
 //!
-//! The strict methods ([`ShardSet::exact`], [`ShardSet::knn`],
-//! [`ShardSet::range`]) fail the whole query when any shard fails — the
-//! answer is bit-identical to a single index or it is an error. The
-//! `*_degraded` variants instead skip shards that are unreachable or out
-//! of deadline budget and return a [`Partial`]: the exact answer over the
-//! live slices plus the *named* missing slices ([`ShardBackend::slice`] is
-//! static partition-map data, so a dead shard can still be named). A
-//! degraded answer is never silently wrong — every position it could have
-//! missed is listed in [`Partial::missing`]. Non-availability errors
-//! (corrupt replies, invalid requests) still fail the query: degradation
-//! covers *absence*, not *disagreement*.
+//! Both walks return a [`Partial`]: the exact answer over the shards that
+//! answered, plus the *named* slices that could not be consulted
+//! ([`ShardBackend::slice`] is static partition-map data, so a dead shard
+//! can still be named). Degraded mode skips shards that are unreachable or
+//! out of deadline budget and lists their slices in [`Partial::missing`],
+//! so a degraded answer is never silently wrong. Strict mode is the same
+//! walk plus one rule: the first such failure ends the query with that
+//! shard's error unchanged, so a strict answer is bit-identical to a single
+//! index or it is an error. Non-availability errors (corrupt replies,
+//! invalid requests) fail the query in either mode: degradation covers
+//! *absence*, not *disagreement*.
 
 use std::ops::Range;
 
@@ -86,11 +87,6 @@ pub trait ShardBackend {
     /// Index the shard's slice up to `upto` (clamped to the assigned
     /// range); returns the post-build [`ShardInfo`].
     fn build(&self, upto: u64) -> Result<ShardInfo>;
-
-    /// Exact 1-NN over the shard's indexed prefix, pruned by `bound`. When
-    /// nothing beats the bound the returned answer has
-    /// `is_some() == false` — the caller's candidate stands.
-    fn exact(&self, query: &[Value], bound: f64, deadline: Deadline) -> Result<Answer>;
 
     /// Exact k-NN over the shard's indexed prefix; only candidates with
     /// distance below `bound` are returned.
@@ -161,10 +157,6 @@ impl ShardBackend for LocalShard {
         self.info()
     }
 
-    fn exact(&self, query: &[Value], bound: f64, deadline: Deadline) -> Result<Answer> {
-        Ok(self.lsm.snapshot().exact_bounded(query, bound, deadline)?.0)
-    }
-
     fn knn(
         &self,
         query: &[Value],
@@ -184,9 +176,10 @@ impl ShardBackend for LocalShard {
     }
 }
 
-/// A possibly-degraded scatter-gather answer: the exact result over every
-/// *reachable* shard, plus the slices that could not be consulted. When
-/// [`Partial::missing`] is empty the value is the full strict answer.
+/// A scatter-gather answer: the exact result over every shard that
+/// answered, plus the slices that could not be consulted (always empty in
+/// strict mode). When [`Partial::missing`] is empty the value is the full
+/// answer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Partial<T> {
     /// The exact answer over the shards that responded.
@@ -201,12 +194,6 @@ impl<T> Partial<T> {
     pub fn is_complete(&self) -> bool {
         self.missing.is_empty()
     }
-}
-
-/// Whether a shard error means the shard is *absent* (degradable) rather
-/// than *wrong* (always fatal).
-fn degradable(e: &Error) -> bool {
-    e.is_unavailable() || e.is_deadline()
 }
 
 /// The key-space partition map plus the scatter-gather merge over a set of
@@ -293,93 +280,17 @@ impl<B: ShardBackend> ShardSet<B> {
         })
     }
 
-    /// Exact 1-NN: query shards in ascending position order, each pruned by
-    /// the best distance merged so far. Bit-identical to a single
-    /// whole-dataset index's answer.
-    pub fn exact(&self, query: &[Value], deadline: Deadline) -> Result<Answer> {
-        let mut best = Answer::none();
-        for shard in &self.shards {
-            let a = shard.exact(query, best.dist, deadline)?;
-            best.merge(a);
-        }
-        Ok(best)
-    }
-
-    /// Exact k-NN: query shards in ascending position order, each pruned by
-    /// the k-th best distance merged so far (infinity until the merged set
-    /// fills). Bit-identical to a single whole-dataset index's answer.
-    pub fn knn(&self, query: &[Value], k: usize, deadline: Deadline) -> Result<Vec<Answer>> {
-        let mut all: Vec<Answer> = Vec::new();
-        if k == 0 {
-            return Ok(all);
-        }
-        for shard in &self.shards {
-            let bound = if all.len() == k {
-                all[k - 1].dist
-            } else {
-                f64::INFINITY
-            };
-            let answers = shard.knn(query, k, bound, deadline)?;
-            all.extend(answers);
-            all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.pos.cmp(&b.pos)));
-            all.truncate(k);
-        }
-        Ok(all)
-    }
-
-    /// Range query: no bound to share, so scatter to every shard
-    /// concurrently and merge-sort the hits by `(dist, pos)`.
-    pub fn range(&self, query: &[Value], epsilon: f64, deadline: Deadline) -> Result<Vec<Answer>>
-    where
-        B: Sync,
-    {
-        let per_shard: Vec<Vec<Answer>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| scope.spawn(move || shard.range(query, epsilon, deadline)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .map_err(|_| Error::invalid("shard range worker panicked"))?
-                })
-                .collect::<Result<Vec<_>>>()
-        })?;
-        let mut all: Vec<Answer> = per_shard.into_iter().flatten().collect();
-        all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.pos.cmp(&b.pos)));
-        Ok(all)
-    }
-
-    /// [`ShardSet::exact`] with graceful degradation: an unreachable or
-    /// timed-out shard contributes its slice to [`Partial::missing`]
-    /// instead of failing the query. Later shards still prune with the
-    /// bound merged from the live shards before them, so the value is the
-    /// exact 1-NN over the non-missing slices.
-    pub fn exact_degraded(&self, query: &[Value], deadline: Deadline) -> Result<Partial<Answer>> {
-        let mut best = Answer::none();
-        let mut missing = Vec::new();
-        for shard in &self.shards {
-            match shard.exact(query, best.dist, deadline) {
-                Ok(a) => best.merge(a),
-                Err(e) if degradable(&e) => missing.push(shard.slice()),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(Partial {
-            value: best,
-            missing,
-        })
-    }
-
-    /// [`ShardSet::knn`] with graceful degradation (see
-    /// [`ShardSet::exact_degraded`]); the value is the exact top-k over
-    /// the non-missing slices.
-    pub fn knn_degraded(
+    /// Exact k-NN (k = 1 is exact search): query shards in ascending
+    /// position order, each pruned by the k-th best distance merged so far
+    /// (infinity until the merged set fills). With every shard answering,
+    /// the value is bit-identical to a single whole-dataset index's
+    /// answer; `degraded` decides what a missing shard does (see the
+    /// module docs).
+    pub fn knn(
         &self,
         query: &[Value],
         k: usize,
+        degraded: bool,
         deadline: Deadline,
     ) -> Result<Partial<Vec<Answer>>> {
         let mut all: Vec<Answer> = Vec::new();
@@ -402,8 +313,7 @@ impl<B: ShardBackend> ShardSet<B> {
                     all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.pos.cmp(&b.pos)));
                     all.truncate(k);
                 }
-                Err(e) if degradable(&e) => missing.push(shard.slice()),
-                Err(e) => return Err(e),
+                Err(e) => skip_or_fail(shard, e, degraded, &mut missing)?,
             }
         }
         Ok(Partial {
@@ -412,13 +322,14 @@ impl<B: ShardBackend> ShardSet<B> {
         })
     }
 
-    /// [`ShardSet::range`] with graceful degradation (see
-    /// [`ShardSet::exact_degraded`]); the value is every in-range hit from
-    /// the non-missing slices, merge-sorted by `(dist, pos)`.
-    pub fn range_degraded(
+    /// Range query: no bound to share, so scatter to every shard
+    /// concurrently and merge-sort the hits by `(dist, pos)`; `degraded`
+    /// as for [`ShardSet::knn`].
+    pub fn range(
         &self,
         query: &[Value],
         epsilon: f64,
+        degraded: bool,
         deadline: Deadline,
     ) -> Result<Partial<Vec<Answer>>>
     where
@@ -443,8 +354,7 @@ impl<B: ShardBackend> ShardSet<B> {
         for (shard, result) in self.shards.iter().zip(per_shard) {
             match result {
                 Ok(hits) => all.extend(hits),
-                Err(e) if degradable(&e) => missing.push(shard.slice()),
-                Err(e) => return Err(e),
+                Err(e) => skip_or_fail(shard, e, degraded, &mut missing)?,
             }
         }
         all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.pos.cmp(&b.pos)));
@@ -452,6 +362,24 @@ impl<B: ShardBackend> ShardSet<B> {
             value: all,
             missing,
         })
+    }
+}
+
+/// The one rule that separates strict from degraded serving: in degraded
+/// mode a shard that is absent (unreachable or out of deadline budget)
+/// becomes a named missing slice; every other failure, and in strict mode
+/// any failure, ends the query with the shard's error unchanged.
+fn skip_or_fail<B: ShardBackend>(
+    shard: &B,
+    e: Error,
+    degraded: bool,
+    missing: &mut Vec<Range<u64>>,
+) -> Result<()> {
+    if degraded && (e.is_unavailable() || e.is_deadline()) {
+        missing.push(shard.slice());
+        Ok(())
+    } else {
+        Err(e)
     }
 }
 
@@ -548,15 +476,17 @@ mod tests {
             for seed in 0..8u64 {
                 let q = query(100 + seed);
                 let snap = single.snapshot();
-                let (want, _) = snap.exact(&q, Deadline::NONE).unwrap();
-                let got = set.exact(&q, Deadline::NONE).unwrap();
+                let (want, _) = snap
+                    .exact_bounded(&q, f64::INFINITY, Deadline::NONE)
+                    .unwrap();
+                let got = set.knn(&q, 1, false, Deadline::NONE).unwrap().value[0];
                 assert_eq!(
                     (got.pos, got.dist.to_bits()),
                     (want.pos, want.dist.to_bits())
                 );
 
                 let (want_k, _) = snap.exact_knn(&q, 5, Deadline::NONE).unwrap();
-                let got_k = set.knn(&q, 5, Deadline::NONE).unwrap();
+                let got_k = set.knn(&q, 5, false, Deadline::NONE).unwrap().value;
                 assert_eq!(got_k.len(), want_k.len(), "k={k}");
                 for (g, w) in got_k.iter().zip(want_k.iter()) {
                     assert_eq!((g.pos, g.dist.to_bits()), (w.pos, w.dist.to_bits()));
@@ -564,7 +494,7 @@ mod tests {
 
                 let eps = want_k.last().unwrap().dist;
                 let (want_r, _) = snap.exact_range(&q, eps, Deadline::NONE).unwrap();
-                let got_r = set.range(&q, eps, Deadline::NONE).unwrap();
+                let got_r = set.range(&q, eps, false, Deadline::NONE).unwrap().value;
                 assert_eq!(got_r.len(), want_r.len(), "k={k}");
                 for (g, w) in got_r.iter().zip(want_r.iter()) {
                     assert_eq!((g.pos, g.dist.to_bits()), (w.pos, w.dist.to_bits()));
@@ -661,10 +591,6 @@ mod tests {
             self.check()?;
             self.inner.build(upto)
         }
-        fn exact(&self, query: &[Value], bound: f64, deadline: Deadline) -> Result<Answer> {
-            self.check()?;
-            self.inner.exact(query, bound, deadline)
-        }
         fn knn(
             &self,
             query: &[Value],
@@ -725,18 +651,20 @@ mod tests {
         let ds = setup(&dir, 200);
         let set = flaky_set(&dir, &ds, 3);
         let q = query(31);
-        let strict = set.exact(&q, Deadline::NONE).unwrap();
-        let partial = set.exact_degraded(&q, Deadline::NONE).unwrap();
-        assert!(partial.is_complete());
-        assert_eq!(
-            (partial.value.pos, partial.value.dist.to_bits()),
-            (strict.pos, strict.dist.to_bits())
-        );
-        let strict_k = set.knn(&q, 5, Deadline::NONE).unwrap();
-        let partial_k = set.knn_degraded(&q, 5, Deadline::NONE).unwrap();
-        assert!(partial_k.is_complete());
-        assert_eq!(partial_k.value.len(), strict_k.len());
-        for (g, w) in partial_k.value.iter().zip(strict_k.iter()) {
+        for k in [1usize, 5] {
+            let strict = set.knn(&q, k, false, Deadline::NONE).unwrap();
+            let partial = set.knn(&q, k, true, Deadline::NONE).unwrap();
+            assert!(strict.is_complete() && partial.is_complete());
+            assert_eq!(partial.value.len(), strict.value.len());
+            for (g, w) in partial.value.iter().zip(strict.value.iter()) {
+                assert_eq!((g.pos, g.dist.to_bits()), (w.pos, w.dist.to_bits()));
+            }
+        }
+        let strict_r = set.range(&q, 3.0, false, Deadline::NONE).unwrap();
+        let partial_r = set.range(&q, 3.0, true, Deadline::NONE).unwrap();
+        assert!(partial_r.is_complete());
+        assert_eq!(partial_r.value.len(), strict_r.value.len());
+        for (g, w) in partial_r.value.iter().zip(strict_r.value.iter()) {
             assert_eq!((g.pos, g.dist.to_bits()), (w.pos, w.dist.to_bits()));
         }
     }
@@ -755,26 +683,29 @@ mod tests {
         for seed in 0..4u64 {
             let q = query(200 + seed);
             // Strict mode refuses rather than answering over a hole.
-            let err = set.exact(&q, Deadline::NONE).unwrap_err();
+            let err = set.knn(&q, 1, false, Deadline::NONE).unwrap_err();
+            assert!(err.is_unavailable(), "{err}");
+            let err = set.range(&q, 1.0, false, Deadline::NONE).unwrap_err();
             assert!(err.is_unavailable(), "{err}");
 
             // Degraded mode answers over the live slices and names the hole.
-            let partial = set.exact_degraded(&q, Deadline::NONE).unwrap();
+            let partial = set.knn(&q, 1, true, Deadline::NONE).unwrap();
             assert_eq!(partial.missing, vec![victim_slice.clone()]);
             let want = oracle_excluding(&ds, &q, &partial.missing);
+            let got = partial.value[0];
             assert_eq!(
-                (partial.value.pos, partial.value.dist.to_bits()),
+                (got.pos, got.dist.to_bits()),
                 (want.pos, want.dist.to_bits())
             );
 
-            let partial_k = set.knn_degraded(&q, 3, Deadline::NONE).unwrap();
+            let partial_k = set.knn(&q, 3, true, Deadline::NONE).unwrap();
             assert_eq!(partial_k.missing, vec![victim_slice.clone()]);
             for hit in &partial_k.value {
                 assert!(!victim_slice.contains(&hit.pos), "hit from a dead slice");
             }
 
-            let eps = partial.value.dist * 2.0;
-            let partial_r = set.range_degraded(&q, eps, Deadline::NONE).unwrap();
+            let eps = got.dist * 2.0;
+            let partial_r = set.range(&q, eps, true, Deadline::NONE).unwrap();
             assert_eq!(partial_r.missing, vec![victim_slice.clone()]);
             for hit in &partial_r.value {
                 assert!(!victim_slice.contains(&hit.pos), "hit from a dead slice");
@@ -787,11 +718,11 @@ mod tests {
             .dead
             .store(false, std::sync::atomic::Ordering::Relaxed);
         let q = query(207);
-        let partial = set.exact_degraded(&q, Deadline::NONE).unwrap();
+        let partial = set.knn(&q, 1, true, Deadline::NONE).unwrap();
         assert!(partial.is_complete());
-        let strict = set.exact(&q, Deadline::NONE).unwrap();
+        let strict = set.knn(&q, 1, false, Deadline::NONE).unwrap().value[0];
         assert_eq!(
-            (partial.value.pos, partial.value.dist.to_bits()),
+            (partial.value[0].pos, partial.value[0].dist.to_bits()),
             (strict.pos, strict.dist.to_bits())
         );
     }

@@ -904,18 +904,6 @@ impl LsmCoconut {
             .map(|r| r.oversized_leaf_count())
             .sum()
     }
-
-    /// Exact k-nearest-neighbors merged across runs (per-run answer lists
-    /// are merged by distance; per-run stats are aggregated).
-    pub fn exact_knn(&self, query: &[Value], k: usize) -> Result<(Vec<Answer>, QueryStats)> {
-        self.snapshot().exact_knn(query, k, Deadline::NONE)
-    }
-
-    /// Exact range query merged across runs: every series within Euclidean
-    /// distance `epsilon`, sorted by distance.
-    pub fn exact_range(&self, query: &[Value], epsilon: f64) -> Result<(Vec<Answer>, QueryStats)> {
-        self.snapshot().exact_range(query, epsilon, Deadline::NONE)
-    }
 }
 
 /// One writer of a multi-writer ingest ([`LsmCoconut::writer`]).
@@ -1025,71 +1013,37 @@ impl Snapshot {
         Ok(best)
     }
 
-    /// Exact 1-NN merged across the pinned runs, under a cooperative
-    /// `deadline` (pass [`Deadline::NONE`] for no limit).
-    pub fn exact(&self, query: &[Value], deadline: Deadline) -> Result<(Answer, QueryStats)> {
-        let mut best = Answer::none();
-        let mut stats = QueryStats::default();
-        for run in &self.runs {
-            let (a, s) = run.exact_search_deadline(query, deadline)?;
-            best.merge(a);
-            stats.add(&s);
-        }
-        Ok((best, stats))
-    }
-
-    /// [`Snapshot::exact`] with an external pruning `bound`: the scan of
-    /// every run starts with a best-so-far no higher than `bound` (which
-    /// also tightens run to run), so records that cannot beat the caller's
-    /// existing candidate are skipped. When nothing here beats the bound
-    /// the returned answer has `is_some() == false` — the caller's
-    /// candidate stands. `f64::INFINITY` recovers [`Snapshot::exact`]'s
-    /// answer exactly.
+    /// Exact 1-NN merged across the pinned runs: [`Snapshot::exact_knn_bounded`]
+    /// with k = 1. When nothing here beats `bound` the returned answer has
+    /// `is_some() == false` — the caller's candidate stands.
     pub fn exact_bounded(
         &self,
         query: &[Value],
         bound: f64,
         deadline: Deadline,
     ) -> Result<(Answer, QueryStats)> {
-        let mut best = Answer {
-            pos: u64::MAX,
-            dist: bound,
-        };
-        let mut stats = QueryStats::default();
-        for run in &self.runs {
-            let (a, s) = run.exact_search_bounded_deadline(query, best.dist, deadline)?;
-            best.merge(a);
-            stats.add(&s);
-        }
-        Ok((best, stats))
+        let (top, stats) = self.exact_knn_bounded(query, 1, bound, deadline)?;
+        Ok((top.first().copied().unwrap_or(Answer::none()), stats))
     }
 
     /// Exact k-NN merged across the pinned runs, under a cooperative
-    /// `deadline`.
+    /// `deadline`: [`Snapshot::exact_knn_bounded`] with no bound.
     pub fn exact_knn(
         &self,
         query: &[Value],
         k: usize,
         deadline: Deadline,
     ) -> Result<(Vec<Answer>, QueryStats)> {
-        let mut all = Vec::new();
-        let mut stats = QueryStats::default();
-        for run in &self.runs {
-            let (answers, s) = run.exact_knn_deadline(query, k, deadline)?;
-            all.extend(answers);
-            stats.add(&s);
-        }
-        all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.pos.cmp(&b.pos)));
-        all.truncate(k);
-        Ok((all, stats))
+        self.exact_knn_bounded(query, k, f64::INFINITY, deadline)
     }
 
-    /// [`Snapshot::exact_knn`] with an external pruning `bound`: only
-    /// candidates with distance below `bound` can enter the result, and the
-    /// bound tightens run to run as the merged set fills (runs cover
-    /// ascending position ranges, so a later tie at the bound would sort
-    /// after the existing entries under the `(dist, pos)` order anyway).
-    /// `f64::INFINITY` recovers [`Snapshot::exact_knn`]'s answer exactly.
+    /// Exact k-NN merged across the pinned runs — the one query path every
+    /// exact search over a snapshot takes. Only candidates with distance
+    /// below `bound` can enter the result (`f64::INFINITY` disables it),
+    /// and the bound tightens run to run as the merged set fills (runs
+    /// cover ascending position ranges, so a later tie at the bound would
+    /// sort after the existing entries under the `(dist, pos)` order
+    /// anyway). `deadline` is cooperative ([`Deadline::NONE`] for none).
     pub fn exact_knn_bounded(
         &self,
         query: &[Value],
@@ -1108,7 +1062,7 @@ impl Snapshot {
             } else {
                 bound
             };
-            let (answers, s) = run.exact_knn_bounded_deadline(query, k, local, deadline)?;
+            let (answers, s) = run.exact_knn(query, k, None, local, deadline)?;
             all.extend(answers);
             stats.add(&s);
             all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.pos.cmp(&b.pos)));
@@ -1129,7 +1083,7 @@ impl Snapshot {
         let mut all = Vec::new();
         let mut stats = QueryStats::default();
         for run in &self.runs {
-            let (answers, s) = run.exact_range_deadline(query, epsilon, deadline)?;
+            let (answers, s) = run.exact_range(query, epsilon, deadline)?;
             all.extend(answers);
             stats.add(&s);
         }
@@ -1859,7 +1813,8 @@ impl SeriesIndex for LsmCoconut {
     }
 
     fn exact(&self, query: &[Value]) -> Result<(Answer, QueryStats)> {
-        self.snapshot().exact(query, Deadline::NONE)
+        self.snapshot()
+            .exact_bounded(query, f64::INFINITY, Deadline::NONE)
     }
 
     fn disk_bytes(&self) -> u64 {
@@ -2117,7 +2072,7 @@ mod tests {
             .map(|(i, s)| (i as u64, euclidean(&q, s)))
             .collect();
         dists.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        let (top, stats_q) = lsm.exact_knn(&q, 5).unwrap();
+        let (top, stats_q) = lsm.snapshot().exact_knn(&q, 5, Deadline::NONE).unwrap();
         assert_eq!(top.len(), 5);
         for (got, want) in top.iter().zip(dists.iter()) {
             assert_eq!(got.pos, want.0);
@@ -2125,7 +2080,7 @@ mod tests {
         assert!(stats_q.lower_bounds >= all.len() as u64);
         // Range: every series within the 8th-nearest distance.
         let eps = dists[7].1;
-        let (hits, _) = lsm.exact_range(&q, eps).unwrap();
+        let (hits, _) = lsm.snapshot().exact_range(&q, eps, Deadline::NONE).unwrap();
         let expected: Vec<u64> = dists
             .iter()
             .take_while(|&&(_, d)| d <= eps)
@@ -2257,14 +2212,18 @@ mod tests {
 
         // The pinned snapshot still answers over exactly its 200-prefix.
         let q = query(23);
-        let (ans, _) = snap.exact(&q, Deadline::NONE).unwrap();
+        let (ans, _) = snap
+            .exact_bounded(&q, f64::INFINITY, Deadline::NONE)
+            .unwrap();
         assert_eq!(ans.pos, brute_force(&all_1, &q).pos);
         assert_eq!(snap.covered_end(), 200);
         assert_eq!(snap.seq(), pinned_seq);
 
         // A fresh snapshot sees the full 400.
         let snap2 = lsm.snapshot();
-        let (ans, _) = snap2.exact(&q, Deadline::NONE).unwrap();
+        let (ans, _) = snap2
+            .exact_bounded(&q, f64::INFINITY, Deadline::NONE)
+            .unwrap();
         assert_eq!(ans.pos, brute_force(&all_2, &q).pos);
         assert!(snap2.seq() > pinned_seq);
     }
@@ -2310,7 +2269,9 @@ mod tests {
 
         // The pinned snapshot still reads the retired runs.
         let q = query(31);
-        let (ans, _) = snap.exact(&q, Deadline::NONE).unwrap();
+        let (ans, _) = snap
+            .exact_bounded(&q, f64::INFINITY, Deadline::NONE)
+            .unwrap();
         assert_eq!(ans.pos, brute_force(&all, &q).pos);
 
         // Dropping the snapshot sweeps them.
@@ -2337,7 +2298,10 @@ mod tests {
         let snap = lsm.snapshot();
         let q = query(3);
         let expired = Deadline::at(std::time::Instant::now() - std::time::Duration::from_millis(1));
-        assert!(snap.exact(&q, expired).unwrap_err().is_deadline());
+        assert!(snap
+            .exact_bounded(&q, f64::INFINITY, expired)
+            .unwrap_err()
+            .is_deadline());
         assert!(snap.exact_knn(&q, 3, expired).unwrap_err().is_deadline());
         assert!(snap
             .exact_range(&q, 1.0, expired)
@@ -2345,8 +2309,10 @@ mod tests {
             .is_deadline());
         // And an unexpired one leaves answers intact.
         let far = Deadline::after(std::time::Duration::from_secs(3600));
-        let (a1, _) = snap.exact(&q, far).unwrap();
-        let (a2, _) = snap.exact(&q, Deadline::NONE).unwrap();
+        let (a1, _) = snap.exact_bounded(&q, f64::INFINITY, far).unwrap();
+        let (a2, _) = snap
+            .exact_bounded(&q, f64::INFINITY, Deadline::NONE)
+            .unwrap();
         assert_eq!(a1.pos, a2.pos);
     }
 

@@ -128,54 +128,85 @@ pub fn parallel_mindists_with_threshold(
     out
 }
 
-/// Exact 1-NN via SIMS. `keys[i]` must be the summarization of the record
-/// the fetcher returns for scan index `i`; `bsf` is the approximate-search
-/// seed (merged into the result). `deadline` is checked at the scan's
-/// early-abandon checkpoints; an expired deadline aborts with
+/// Exact k-NN via SIMS (Algorithm 5; the paper reports k = 1, which is
+/// exact search). `keys[i]` must be the summarization of the record the
+/// fetcher returns for scan index `i`; `seed` is the approximate-search
+/// best-so-far (or [`Answer::none`]). Returns up to `k` answers sorted by
+/// distance, each strictly below `bound`: a scatter-gather coordinator or
+/// a cross-run merge passes the k-th best distance merged so far, so later
+/// scans prune with earlier results (a candidate at or beyond the bound
+/// could never displace the caller's top-k under the global `(dist, pos)`
+/// order). `f64::INFINITY` disables the bound. `deadline` is checked at
+/// the scan's early-abandon checkpoints; an expired deadline aborts with
 /// [`coconut_storage::Error::Deadline`].
-#[allow(clippy::too_many_arguments)] // the full Algorithm 5 parameter set
-pub fn sims_exact(
+#[allow(clippy::too_many_arguments)] // the full Algorithm 5 parameter set plus (k, bound)
+pub fn sims_knn(
     query: &[Value],
     query_paa: &[f64],
     keys: &[ZKey],
     config: &SaxConfig,
     threads: usize,
-    mut bsf: Answer,
+    k: usize,
+    bound: f64,
+    seed: Answer,
     fetcher: &mut dyn SeriesFetcher,
     deadline: Deadline,
-) -> Result<(Answer, QueryStats)> {
+) -> Result<(Vec<Answer>, QueryStats)> {
     let mut stats = QueryStats::default();
+    if k == 0 {
+        return Ok((Vec::new(), stats));
+    }
     deadline.check()?;
+    // A simple bounded set (k is small; the paper's experiments use 1),
+    // ascending by squared distance, each entry carrying the squared
+    // distance it was admitted with. A candidate enters when it beats the
+    // k-th best in squared space (the 1-NN scan's test, so k = 1 is
+    // bit-identical to it) and its distance lies below `bound`.
+    let bound_sq = bound * bound;
+    let mut best: Vec<(Answer, f64)> = Vec::with_capacity(k + 1);
+    let insert = |best: &mut Vec<(Answer, f64)>, a: Answer, d_sq: f64| {
+        if let Some(at) = best.iter().position(|b| b.0.pos == a.pos) {
+            best.remove(at);
+        }
+        let at = best.partition_point(|b| b.1 <= d_sq);
+        best.insert(at, (a, d_sq));
+        best.truncate(k);
+    };
+    if seed.is_some() && seed.dist < bound {
+        best.push((seed, seed.dist * seed.dist));
+    }
     let mindists = parallel_mindists(query_paa, keys, config, threads);
     stats.lower_bounds += keys.len() as u64;
 
     let mut buf = vec![0.0 as Value; query.len()];
-    let mut bsf_sq = bsf.dist * bsf.dist;
     for (i, &md) in mindists.iter().enumerate() {
         checkpoint(deadline, i)?;
-        if md >= bsf.dist {
+        // The k-th best so far caps the scan as usual; the external bound
+        // caps it while the local set is not yet full (every admitted entry
+        // lies below the bound, so a full set's k-th entry is the tighter).
+        let (cutoff, cutoff_sq) = best
+            .get(k - 1)
+            .map_or((bound, bound_sq), |b| (b.0.dist, b.1));
+        if md >= cutoff {
             stats.pruned += 1;
             continue;
         }
         let pos = fetcher.fetch(i, &mut buf)?;
         stats.records_fetched += 1;
-        if let Some(d_sq) = euclidean_sq_early_abandon(query, &buf, bsf_sq) {
-            if d_sq < bsf_sq {
-                bsf = Answer {
-                    pos,
-                    dist: d_sq.sqrt(),
-                };
-                bsf_sq = d_sq;
+        if let Some(d_sq) = euclidean_sq_early_abandon(query, &buf, cutoff_sq) {
+            let dist = d_sq.sqrt();
+            if d_sq < cutoff_sq && dist < bound {
+                insert(&mut best, Answer { pos, dist }, d_sq);
             }
         }
     }
-    Ok((bsf, stats))
+    Ok((best.into_iter().map(|b| b.0).collect(), stats))
 }
 
 /// Exact range query via SIMS (extension): every record whose Euclidean
 /// distance to `query` is at most `epsilon`, sorted by distance. `deadline`
 /// is checked at the scan's early-abandon checkpoints.
-#[allow(clippy::too_many_arguments)] // mirrors sims_exact plus epsilon
+#[allow(clippy::too_many_arguments)] // mirrors sims_knn with epsilon for (k, bound, seed)
 pub fn sims_range(
     query: &[Value],
     query_paa: &[f64],
@@ -222,7 +253,7 @@ pub fn sims_range(
 /// banded DTW with early abandoning. `bsf` must hold a *DTW* distance (or
 /// be `Answer::none()`). `deadline` is checked at the scan's early-abandon
 /// checkpoints.
-#[allow(clippy::too_many_arguments)] // mirrors sims_exact plus the warping band
+#[allow(clippy::too_many_arguments)] // mirrors sims_knn with the warping band for (k, bound)
 pub fn sims_exact_dtw(
     query: &[Value],
     band: usize,
@@ -289,110 +320,6 @@ pub fn sims_exact_dtw(
     Ok((bsf, stats))
 }
 
-/// Exact k-NN via SIMS (an extension beyond the paper, which reports 1-NN).
-/// Returns up to `k` answers sorted by distance. `deadline` is checked at
-/// the scan's early-abandon checkpoints.
-#[allow(clippy::too_many_arguments)] // mirrors sims_exact plus (k, seeds)
-pub fn sims_exact_knn(
-    query: &[Value],
-    query_paa: &[f64],
-    keys: &[ZKey],
-    config: &SaxConfig,
-    threads: usize,
-    k: usize,
-    seed: &[Answer],
-    fetcher: &mut dyn SeriesFetcher,
-    deadline: Deadline,
-) -> Result<(Vec<Answer>, QueryStats)> {
-    sims_exact_knn_bounded(
-        query,
-        query_paa,
-        keys,
-        config,
-        threads,
-        k,
-        f64::INFINITY,
-        seed,
-        fetcher,
-        deadline,
-    )
-}
-
-/// [`sims_exact_knn`] with an external pruning `bound`: only candidates
-/// with distance below `bound` can enter the result. A scatter-gather
-/// coordinator passes the k-th best distance merged from shards queried so
-/// far, so later shards prune with earlier shards' results (candidates at
-/// or beyond the bound could never displace the coordinator's existing
-/// top-k under the global `(dist, pos)` order). Pass `f64::INFINITY` for
-/// the plain unbounded scan — the two are then identical.
-#[allow(clippy::too_many_arguments)] // mirrors sims_exact_knn plus bound
-pub fn sims_exact_knn_bounded(
-    query: &[Value],
-    query_paa: &[f64],
-    keys: &[ZKey],
-    config: &SaxConfig,
-    threads: usize,
-    k: usize,
-    bound: f64,
-    seed: &[Answer],
-    fetcher: &mut dyn SeriesFetcher,
-    deadline: Deadline,
-) -> Result<(Vec<Answer>, QueryStats)> {
-    let mut stats = QueryStats::default();
-    if k == 0 {
-        return Ok((Vec::new(), stats));
-    }
-    deadline.check()?;
-    // A simple bounded set (k is small; the paper's experiments use 1),
-    // ascending by squared distance, each entry carrying the squared
-    // distance it was admitted with. A candidate enters when it beats the
-    // k-th best in squared space (the 1-NN scan's test, so k = 1 is
-    // bit-identical to it) and its distance lies below `bound`.
-    let bound_sq = bound * bound;
-    let mut best: Vec<(Answer, f64)> = Vec::with_capacity(k + 1);
-    let insert = |best: &mut Vec<(Answer, f64)>, a: Answer, d_sq: f64| {
-        if let Some(at) = best.iter().position(|b| b.0.pos == a.pos) {
-            best.remove(at);
-        }
-        let at = best.partition_point(|b| b.1 <= d_sq);
-        best.insert(at, (a, d_sq));
-        best.truncate(k);
-    };
-    for &a in seed {
-        let d_sq = a.dist * a.dist;
-        let cutoff_sq = best.get(k - 1).map_or(bound_sq, |b| b.1);
-        if a.is_some() && a.dist < bound && d_sq <= cutoff_sq {
-            insert(&mut best, a, d_sq);
-        }
-    }
-    let mindists = parallel_mindists(query_paa, keys, config, threads);
-    stats.lower_bounds += keys.len() as u64;
-
-    let mut buf = vec![0.0 as Value; query.len()];
-    for (i, &md) in mindists.iter().enumerate() {
-        checkpoint(deadline, i)?;
-        // The k-th best so far caps the scan as usual; the external bound
-        // caps it while the local set is not yet full (every admitted entry
-        // lies below the bound, so a full set's k-th entry is the tighter).
-        let (cutoff, cutoff_sq) = best
-            .get(k - 1)
-            .map_or((bound, bound_sq), |b| (b.0.dist, b.1));
-        if md >= cutoff {
-            stats.pruned += 1;
-            continue;
-        }
-        let pos = fetcher.fetch(i, &mut buf)?;
-        stats.records_fetched += 1;
-        if let Some(d_sq) = euclidean_sq_early_abandon(query, &buf, cutoff_sq) {
-            let dist = d_sq.sqrt();
-            if d_sq < cutoff_sq && dist < bound {
-                insert(&mut best, Answer { pos, dist }, d_sq);
-            }
-        }
-    }
-    Ok((best.into_iter().map(|b| b.0).collect(), stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,17 +374,20 @@ mod tests {
             znormalize(&mut q);
             let qp = paa(&q, config.segments);
             let mut fetcher = VecFetcher { data: &data };
-            let (ans, stats) = sims_exact(
+            let (top, stats) = sims_knn(
                 &q,
                 &qp,
                 &keys,
                 &config,
                 2,
+                1,
+                f64::INFINITY,
                 Answer::none(),
                 &mut fetcher,
                 Deadline::NONE,
             )
             .unwrap();
+            let ans = top[0];
             let expect = brute_force(&q, &data);
             assert_eq!(ans.pos, expect.pos);
             assert!((ans.dist - expect.dist).abs() < 1e-9);
@@ -474,22 +404,24 @@ mod tests {
         let qp = paa(&q, config.segments);
         let exact = brute_force(&q, &data);
 
-        let mut f1 = VecFetcher { data: &data };
-        let (_, cold) = sims_exact(
-            &q,
-            &qp,
-            &keys,
-            &config,
-            1,
-            Answer::none(),
-            &mut f1,
-            Deadline::NONE,
-        )
-        .unwrap();
-        let mut f2 = VecFetcher { data: &data };
-        let (ans, warm) =
-            sims_exact(&q, &qp, &keys, &config, 1, exact, &mut f2, Deadline::NONE).unwrap();
-        assert_eq!(ans.pos, exact.pos);
+        let nn = |seed: Answer, fetcher: &mut VecFetcher| {
+            sims_knn(
+                &q,
+                &qp,
+                &keys,
+                &config,
+                1,
+                1,
+                f64::INFINITY,
+                seed,
+                fetcher,
+                Deadline::NONE,
+            )
+            .unwrap()
+        };
+        let (_, cold) = nn(Answer::none(), &mut VecFetcher { data: &data });
+        let (ans, warm) = nn(exact, &mut VecFetcher { data: &data });
+        assert_eq!(ans[0].pos, exact.pos);
         assert!(
             warm.records_fetched <= cold.records_fetched,
             "seeding with the exact answer must not fetch more ({} > {})",
@@ -521,14 +453,15 @@ mod tests {
         znormalize(&mut q);
         let qp = paa(&q, config.segments);
         let mut fetcher = VecFetcher { data: &data };
-        let (top, _) = sims_exact_knn(
+        let (top, _) = sims_knn(
             &q,
             &qp,
             &keys,
             &config,
             2,
             5,
-            &[],
+            f64::INFINITY,
+            Answer::none(),
             &mut fetcher,
             Deadline::NONE,
         )
@@ -555,28 +488,30 @@ mod tests {
         znormalize(&mut q);
         let qp = paa(&q, config.segments);
         let mut fetcher = VecFetcher { data: &data };
-        let (none, _) = sims_exact_knn(
+        let (none, _) = sims_knn(
             &q,
             &qp,
             &keys,
             &config,
             1,
             0,
-            &[],
+            f64::INFINITY,
+            Answer::none(),
             &mut fetcher,
             Deadline::NONE,
         )
         .unwrap();
         assert!(none.is_empty());
         let mut fetcher = VecFetcher { data: &data };
-        let (all, _) = sims_exact_knn(
+        let (all, _) = sims_knn(
             &q,
             &qp,
             &keys,
             &config,
             1,
             50,
-            &[],
+            f64::INFINITY,
+            Answer::none(),
             &mut fetcher,
             Deadline::NONE,
         )
@@ -595,24 +530,22 @@ mod tests {
         let qp = paa(&q, config.segments);
         let expired = Deadline::at(std::time::Instant::now() - std::time::Duration::from_millis(1));
         let mut fetcher = VecFetcher { data: &data };
-        let err = sims_exact(
+        let err = sims_range(&q, &qp, &keys, &config, 1, 10.0, &mut fetcher, expired).unwrap_err();
+        assert!(err.is_deadline(), "{err}");
+        let mut fetcher = VecFetcher { data: &data };
+        let err = sims_knn(
             &q,
             &qp,
             &keys,
             &config,
             1,
+            3,
+            f64::INFINITY,
             Answer::none(),
             &mut fetcher,
             expired,
         )
         .unwrap_err();
-        assert!(err.is_deadline(), "{err}");
-        let mut fetcher = VecFetcher { data: &data };
-        let err = sims_range(&q, &qp, &keys, &config, 1, 10.0, &mut fetcher, expired).unwrap_err();
-        assert!(err.is_deadline(), "{err}");
-        let mut fetcher = VecFetcher { data: &data };
-        let err =
-            sims_exact_knn(&q, &qp, &keys, &config, 1, 3, &[], &mut fetcher, expired).unwrap_err();
         assert!(err.is_deadline(), "{err}");
     }
 }

@@ -37,7 +37,7 @@ use coconut_series::Value;
 use coconut_storage::{CountedFile, Deadline, Error, IoStats, RecordStream, Result, SortReport};
 use coconut_summary::paa::paa;
 use coconut_summary::sax::Summarizer;
-use coconut_summary::ZKey;
+use coconut_summary::{SaxConfig, ZKey};
 
 use crate::builder::{sorted_key_pos, sorted_key_series, BuildReport};
 use crate::config::{BuildOptions, IndexConfig};
@@ -47,21 +47,9 @@ use crate::layout::{
 };
 use crate::records::SortedRecord;
 use crate::shard::{sorted_key_pos_sharded, sorted_key_series_sharded};
-use crate::sims::{sims_exact, sims_exact_knn_bounded, SeriesFetcher};
+use crate::sims::{sims_exact_dtw, sims_knn, sims_range, SeriesFetcher};
 
 static TREE_ID: AtomicU64 = AtomicU64::new(0);
-
-/// In-memory summarization arrays for SIMS (rebuilt lazily after inserts).
-struct Summaries {
-    /// Keys in raw-file order; index `i` is position `range.start + i`.
-    keys_by_pos: Vec<ZKey>,
-    /// Keys in leaf (sorted) order.
-    keys_leaf_order: Vec<ZKey>,
-    /// Raw positions in leaf order (parallel to `keys_leaf_order`).
-    pos_leaf_order: Vec<u64>,
-    /// First scan index of each leaf (prefix sums; one extra final entry).
-    leaf_starts: Vec<u64>,
-}
 
 /// The Coconut-Tree index.
 pub struct CoconutTree {
@@ -75,7 +63,7 @@ pub struct CoconutTree {
     /// Internal separator levels; `levels[0]` holds each leaf's first key,
     /// each higher level the first key of `internal_fanout`-sized groups.
     levels: Vec<Vec<ZKey>>,
-    summaries: RwLock<Option<Arc<Summaries>>>,
+    summaries: SummaryCache,
     entry_count: u64,
     next_block: u32,
     /// Positions covered: `range.start..range.end` of the dataset.
@@ -312,13 +300,12 @@ impl CoconutTree {
         self.build_report.leaves = self.leaves.len() as u64;
         self.rebuild_levels();
         self.persist_directory()?;
-        let leaf_starts = Self::compute_leaf_starts(&self.leaves);
-        *self.summaries.write() = Some(Arc::new(Summaries {
+        *self.summaries.write() = Some(Arc::new(Summaries::new(
             keys_by_pos,
             keys_leaf_order,
             pos_leaf_order,
-            leaf_starts,
-        }));
+            &self.leaves,
+        )));
         Ok(())
     }
 
@@ -464,17 +451,6 @@ impl CoconutTree {
         crate::layout::scrub_leaves(&self.store, &self.leaves)
     }
 
-    fn compute_leaf_starts(leaves: &[LeafMeta]) -> Vec<u64> {
-        let mut starts = Vec::with_capacity(leaves.len() + 1);
-        let mut acc = 0u64;
-        for l in leaves {
-            starts.push(acc);
-            acc += l.count as u64;
-        }
-        starts.push(acc);
-        starts
-    }
-
     fn rebuild_levels(&mut self) {
         self.levels.clear();
         if self.leaves.is_empty() {
@@ -611,272 +587,73 @@ impl CoconutTree {
         Ok(summarizer.zkey(query))
     }
 
-    /// Evaluate the true distance of every entry in leaves `lo..=hi`.
-    fn eval_leaf_range(
-        &self,
-        lo: usize,
-        hi: usize,
-        query: &[Value],
-        best: &mut Answer,
-        stats: &mut QueryStats,
-    ) -> Result<()> {
-        let entry = self.store.entry();
-        let mut leaf_buf = Vec::new();
-        let mut series_buf = vec![0.0 as Value; self.config.sax.series_len];
-        let mut best_sq = best.dist * best.dist;
-        for li in lo..=hi {
-            let leaf = &self.leaves[li];
-            self.store.read_leaf(leaf, &mut leaf_buf)?;
-            stats.leaves_visited += 1;
-            for slot in 0..leaf.count as usize {
-                let e = self.store.entry_slice(&leaf_buf, slot);
-                let pos = entry.pos(e);
-                if self.materialized {
-                    entry.series_into(e, &mut series_buf);
-                } else {
-                    self.dataset.read_into(pos, &mut series_buf)?;
-                }
-                stats.records_fetched += 1;
-                let d_sq = euclidean_sq(query, &series_buf);
-                if d_sq < best_sq {
-                    best_sq = d_sq;
-                    *best = Answer {
-                        pos,
-                        dist: d_sq.sqrt(),
-                    };
-                }
-            }
+    /// The SIMS view of this tree's leaves and summaries.
+    fn leaf_scan(&self) -> LeafScan<'_> {
+        LeafScan {
+            store: &self.store,
+            leaves: &self.leaves,
+            summaries: &self.summaries,
+            entry_count: self.entry_count,
+            dataset: &self.dataset,
+            start: self.range.start,
+            materialized: self.materialized,
+            sax: &self.config.sax,
+            threads: self.threads,
         }
-        Ok(())
+    }
+
+    /// The leaf the query's key descends to (`None` on an empty tree).
+    fn target_leaf(&self, query: &[Value]) -> Result<Option<usize>> {
+        Ok(self.descend(self.query_key(query)?).map(|(li, _)| li))
     }
 
     /// Approximate search (Algorithm 4): evaluate the target leaf plus
     /// `radius` leaves on each side.
     pub fn approximate_search(&self, query: &[Value], radius: usize) -> Result<Answer> {
-        Ok(self.approximate_search_with_stats(query, radius)?.0)
+        let target = self.target_leaf(query)?;
+        Ok(self.leaf_scan().approximate(query, target, radius)?.0)
     }
 
-    /// Approximate search returning its work counters.
-    pub fn approximate_search_with_stats(
-        &self,
-        query: &[Value],
-        radius: usize,
-    ) -> Result<(Answer, QueryStats)> {
-        let key = self.query_key(query)?;
-        let mut stats = QueryStats::default();
-        let Some((li, visited)) = self.descend(key) else {
-            return Ok((Answer::none(), stats));
-        };
-        stats.leaves_visited += visited; // internal node visits
-        let lo = li.saturating_sub(radius);
-        let hi = (li + radius).min(self.leaves.len() - 1);
-        let mut best = Answer::none();
-        let mut leaf_stats = QueryStats::default();
-        self.eval_leaf_range(lo, hi, query, &mut best, &mut leaf_stats)?;
-        stats.leaves_visited = leaf_stats.leaves_visited; // report leaf I/O only
-        stats.records_fetched = leaf_stats.records_fetched;
-        Ok((best, stats))
-    }
-
-    fn load_summaries(&self) -> Result<Arc<Summaries>> {
-        if let Some(s) = self.summaries.read().as_ref() {
-            return Ok(Arc::clone(s));
-        }
-        let mut write = self.summaries.write();
-        if let Some(s) = write.as_ref() {
-            return Ok(Arc::clone(s));
-        }
-        // "if SAX sums are not in memory, load them" — scan the leaf region
-        // sequentially and rebuild all arrays.
-        let entry = self.store.entry();
-        let mut keys_leaf_order = Vec::with_capacity(self.entry_count as usize);
-        let mut pos_leaf_order = Vec::with_capacity(self.entry_count as usize);
-        let mut leaf_buf = Vec::new();
-        let mut min_pos = u64::MAX;
-        let mut max_pos = 0u64;
-        for leaf in &self.leaves {
-            self.store.read_leaf(leaf, &mut leaf_buf)?;
-            for slot in 0..leaf.count as usize {
-                let e = self.store.entry_slice(&leaf_buf, slot);
-                let pos = entry.pos(e);
-                keys_leaf_order.push(entry.key(e));
-                pos_leaf_order.push(pos);
-                min_pos = min_pos.min(pos);
-                max_pos = max_pos.max(pos);
-            }
-        }
-        let (start, end) = if pos_leaf_order.is_empty() {
-            (0, 0)
-        } else {
-            (min_pos, max_pos + 1)
-        };
-        if end - start != self.entry_count {
-            return Err(Error::corrupt(
-                "index does not cover a contiguous position range",
-            ));
-        }
-        let mut keys_by_pos = vec![ZKey::MIN; (end - start) as usize];
-        for (k, p) in keys_leaf_order.iter().zip(pos_leaf_order.iter()) {
-            keys_by_pos[(p - start) as usize] = *k;
-        }
-        let leaf_starts = Self::compute_leaf_starts(&self.leaves);
-        let s = Arc::new(Summaries {
-            keys_by_pos,
-            keys_leaf_order,
-            pos_leaf_order,
-            leaf_starts,
-        });
-        *write = Some(Arc::clone(&s));
-        Ok(s)
-    }
-
-    /// Exact search (Algorithm 5) seeded by approximate search with the
-    /// default radius.
+    /// Exact 1-NN (Algorithm 5, *CoconutTreeSIMS*): [`Self::exact_knn`]
+    /// with k = 1, the default seed radius, no bound and no deadline.
     pub fn exact_search(&self, query: &[Value]) -> Result<(Answer, QueryStats)> {
-        self.exact_search_with_radius(query, self.default_radius)
+        let (top, stats) = self.exact_knn(query, 1, None, f64::INFINITY, Deadline::NONE)?;
+        Ok((top.first().copied().unwrap_or(Answer::none()), stats))
     }
 
-    /// Exact search with an explicit seed radius (the paper's CTree(1) /
-    /// CTree(10) variants).
-    pub fn exact_search_with_radius(
+    /// Exact k-NN via SIMS (Algorithm 5; k = 1 is the paper's exact
+    /// search): seed a best-so-far by approximate search over `radius`
+    /// leaves on each side of the target leaf (`None`: the default radius;
+    /// the paper's CTree(1) / CTree(10) variants pass 1 / 10), then run the
+    /// skip-sequential scan. Only candidates with distance below `bound`
+    /// are returned (see [`crate::sims::sims_knn`]); `f64::INFINITY`
+    /// disables the bound. The scan checks `deadline` at its early-abandon
+    /// checkpoints and aborts with [`coconut_storage::Error::Deadline`].
+    pub fn exact_knn(
         &self,
         query: &[Value],
-        radius: usize,
-    ) -> Result<(Answer, QueryStats)> {
-        self.exact_search_with_radius_deadline(query, radius, Deadline::NONE)
-    }
-
-    /// [`Self::exact_search`] under a cooperative [`Deadline`]: the SIMS scan
-    /// checks the deadline at its early-abandon checkpoints and aborts with
-    /// [`coconut_storage::Error::Deadline`] when it expires.
-    pub fn exact_search_deadline(
-        &self,
-        query: &[Value],
-        deadline: Deadline,
-    ) -> Result<(Answer, QueryStats)> {
-        self.exact_search_with_radius_deadline(query, self.default_radius, deadline)
-    }
-
-    /// [`Self::exact_search_with_radius`] under a cooperative [`Deadline`].
-    pub fn exact_search_with_radius_deadline(
-        &self,
-        query: &[Value],
-        radius: usize,
-        deadline: Deadline,
-    ) -> Result<(Answer, QueryStats)> {
-        let (seed, stats) = self.approximate_search_with_stats(query, radius)?;
-        self.sims_exact_from_seed(query, seed, stats, deadline)
-    }
-
-    /// [`Self::exact_search_deadline`] with an external pruning `bound`: the
-    /// best-so-far starts no higher than `bound`, so the scan skips every
-    /// record that could not beat it. A scatter-gather coordinator passes
-    /// the best distance merged from shards queried so far. When nothing in
-    /// this index beats the bound the returned answer is
-    /// [`Answer::none`]-like (`pos == u64::MAX`) with `dist == bound` — the
-    /// caller's existing candidate already wins.
-    pub fn exact_search_bounded_deadline(
-        &self,
-        query: &[Value],
+        k: usize,
+        radius: Option<usize>,
         bound: f64,
         deadline: Deadline,
-    ) -> Result<(Answer, QueryStats)> {
-        let (mut seed, stats) = self.approximate_search_with_stats(query, self.default_radius)?;
-        seed.merge(Answer {
-            pos: u64::MAX,
-            dist: bound,
-        });
-        self.sims_exact_from_seed(query, seed, stats, deadline)
-    }
-
-    /// The shared SIMS tail of the exact-search entry points: run the scan
-    /// with `seed` as the initial best-so-far and fold its counters into
-    /// `stats`.
-    fn sims_exact_from_seed(
-        &self,
-        query: &[Value],
-        seed: Answer,
-        mut stats: QueryStats,
-        deadline: Deadline,
-    ) -> Result<(Answer, QueryStats)> {
-        let summaries = self.load_summaries()?;
-        let query_paa = paa(query, self.config.sax.segments);
-        let (answer, sims_stats) = if self.materialized {
-            let mut fetcher = LeafOrderFetcher::new(&self.store, &self.leaves, &summaries);
-            sims_exact(
-                query,
-                &query_paa,
-                &summaries.keys_leaf_order,
-                &self.config.sax,
-                self.threads,
-                seed,
-                &mut fetcher,
-                deadline,
-            )?
-        } else {
-            let mut fetcher = RawFileFetcher {
-                dataset: &self.dataset,
-                start: self.range.start,
-            };
-            sims_exact(
-                query,
-                &query_paa,
-                &summaries.keys_by_pos,
-                &self.config.sax,
-                self.threads,
-                seed,
-                &mut fetcher,
-                deadline,
-            )?
-        };
-        stats.add(&sims_stats);
-        Ok((answer, stats))
+    ) -> Result<(Vec<Answer>, QueryStats)> {
+        let target = self.target_leaf(query)?;
+        let radius = radius.unwrap_or(self.default_radius);
+        self.leaf_scan()
+            .knn(query, target, radius, k, bound, deadline)
     }
 
     /// Exact range query (extension): all series within Euclidean distance
-    /// `epsilon` of the query, sorted by distance.
-    pub fn exact_range(&self, query: &[Value], epsilon: f64) -> Result<(Vec<Answer>, QueryStats)> {
-        self.exact_range_deadline(query, epsilon, Deadline::NONE)
-    }
-
-    /// [`Self::exact_range`] under a cooperative [`Deadline`].
-    pub fn exact_range_deadline(
+    /// `epsilon` of the query, sorted by distance, under a cooperative
+    /// [`Deadline`].
+    pub fn exact_range(
         &self,
         query: &[Value],
         epsilon: f64,
         deadline: Deadline,
     ) -> Result<(Vec<Answer>, QueryStats)> {
         self.query_key(query)?; // validates the length
-        let summaries = self.load_summaries()?;
-        let query_paa = paa(query, self.config.sax.segments);
-        if self.materialized {
-            let mut fetcher = LeafOrderFetcher::new(&self.store, &self.leaves, &summaries);
-            crate::sims::sims_range(
-                query,
-                &query_paa,
-                &summaries.keys_leaf_order,
-                &self.config.sax,
-                self.threads,
-                epsilon,
-                &mut fetcher,
-                deadline,
-            )
-        } else {
-            let mut fetcher = RawFileFetcher {
-                dataset: &self.dataset,
-                start: self.range.start,
-            };
-            crate::sims::sims_range(
-                query,
-                &query_paa,
-                &summaries.keys_by_pos,
-                &self.config.sax,
-                self.threads,
-                epsilon,
-                &mut fetcher,
-                deadline,
-            )
-        }
+        self.leaf_scan().range(query, epsilon, deadline)
     }
 
     /// Exact 1-NN under Dynamic Time Warping with a Sakoe–Chiba band of
@@ -917,107 +694,20 @@ impl CoconutTree {
                 }
             }
         }
-        let summaries = self.load_summaries()?;
-        let (answer, sims_stats) = if self.materialized {
-            let mut fetcher = LeafOrderFetcher::new(&self.store, &self.leaves, &summaries);
-            crate::sims::sims_exact_dtw(
+        let (answer, sims_stats) = self.leaf_scan().scan(|keys, fetcher| {
+            sims_exact_dtw(
                 query,
                 band,
-                &summaries.keys_leaf_order,
+                keys,
                 &self.config.sax,
                 self.threads,
                 seed,
-                &mut fetcher,
+                fetcher,
                 Deadline::NONE,
-            )?
-        } else {
-            let mut fetcher = RawFileFetcher {
-                dataset: &self.dataset,
-                start: self.range.start,
-            };
-            crate::sims::sims_exact_dtw(
-                query,
-                band,
-                &summaries.keys_by_pos,
-                &self.config.sax,
-                self.threads,
-                seed,
-                &mut fetcher,
-                Deadline::NONE,
-            )?
-        };
+            )
+        })?;
         stats.add(&sims_stats);
         Ok((answer, stats))
-    }
-
-    /// Exact k-nearest-neighbors (extension beyond the paper).
-    pub fn exact_knn(&self, query: &[Value], k: usize) -> Result<(Vec<Answer>, QueryStats)> {
-        self.exact_knn_deadline(query, k, Deadline::NONE)
-    }
-
-    /// [`Self::exact_knn`] under a cooperative [`Deadline`].
-    pub fn exact_knn_deadline(
-        &self,
-        query: &[Value],
-        k: usize,
-        deadline: Deadline,
-    ) -> Result<(Vec<Answer>, QueryStats)> {
-        self.exact_knn_bounded_deadline(query, k, f64::INFINITY, deadline)
-    }
-
-    /// [`Self::exact_knn_deadline`] with an external pruning `bound`: only
-    /// candidates with distance below `bound` can enter the result (see
-    /// [`crate::sims::sims_exact_knn_bounded`]). `f64::INFINITY` recovers
-    /// the plain k-NN scan exactly.
-    pub fn exact_knn_bounded_deadline(
-        &self,
-        query: &[Value],
-        k: usize,
-        bound: f64,
-        deadline: Deadline,
-    ) -> Result<(Vec<Answer>, QueryStats)> {
-        let (seed, mut stats) = self.approximate_search_with_stats(query, self.default_radius)?;
-        let summaries = self.load_summaries()?;
-        let query_paa = paa(query, self.config.sax.segments);
-        let seeds = if seed.is_some() {
-            vec![seed]
-        } else {
-            Vec::new()
-        };
-        let (answers, sims_stats) = if self.materialized {
-            let mut fetcher = LeafOrderFetcher::new(&self.store, &self.leaves, &summaries);
-            sims_exact_knn_bounded(
-                query,
-                &query_paa,
-                &summaries.keys_leaf_order,
-                &self.config.sax,
-                self.threads,
-                k,
-                bound,
-                &seeds,
-                &mut fetcher,
-                deadline,
-            )?
-        } else {
-            let mut fetcher = RawFileFetcher {
-                dataset: &self.dataset,
-                start: self.range.start,
-            };
-            sims_exact_knn_bounded(
-                query,
-                &query_paa,
-                &summaries.keys_by_pos,
-                &self.config.sax,
-                self.threads,
-                k,
-                bound,
-                &seeds,
-                &mut fetcher,
-                deadline,
-            )?
-        };
-        stats.add(&sims_stats);
-        Ok((answers, stats))
     }
 
     /// Insert one new series that was appended to the dataset at `pos`
@@ -1411,6 +1101,243 @@ impl SeriesFetcher for LeafOrderFetcher<'_> {
     }
 }
 
+/// In-memory summarization arrays for SIMS, shared by Coconut-Tree and
+/// Coconut-Trie (both built lazily and dropped on updates).
+pub(crate) struct Summaries {
+    /// Keys in raw-file order; index `i` is position `range.start + i`.
+    keys_by_pos: Vec<ZKey>,
+    /// Keys in leaf (sorted) order.
+    keys_leaf_order: Vec<ZKey>,
+    /// Raw positions in leaf order (parallel to `keys_leaf_order`).
+    pos_leaf_order: Vec<u64>,
+    /// First scan index of each leaf (prefix sums; one extra final entry).
+    leaf_starts: Vec<u64>,
+}
+
+/// An index's lazily built [`Summaries`] (`None` until the first query).
+pub(crate) type SummaryCache = RwLock<Option<Arc<Summaries>>>;
+
+impl Summaries {
+    /// Assemble the arrays a bulk load produced for `leaves`.
+    pub(crate) fn new(
+        keys_by_pos: Vec<ZKey>,
+        keys_leaf_order: Vec<ZKey>,
+        pos_leaf_order: Vec<u64>,
+        leaves: &[LeafMeta],
+    ) -> Self {
+        let mut leaf_starts = Vec::with_capacity(leaves.len() + 1);
+        let mut acc = 0u64;
+        for l in leaves {
+            leaf_starts.push(acc);
+            acc += l.count as u64;
+        }
+        leaf_starts.push(acc);
+        Summaries {
+            keys_by_pos,
+            keys_leaf_order,
+            pos_leaf_order,
+            leaf_starts,
+        }
+    }
+
+    /// "If SAX sums are not in memory, load them": scan the leaf region
+    /// sequentially and rebuild every array, checking that the entries
+    /// cover one contiguous position range.
+    fn load(store: &LeafStore, leaves: &[LeafMeta], entry_count: u64) -> Result<Self> {
+        let entry = store.entry();
+        let mut keys_leaf_order = Vec::with_capacity(entry_count as usize);
+        let mut pos_leaf_order = Vec::with_capacity(entry_count as usize);
+        let mut leaf_buf = Vec::new();
+        let mut min_pos = u64::MAX;
+        let mut max_pos = 0u64;
+        for leaf in leaves {
+            store.read_leaf(leaf, &mut leaf_buf)?;
+            for slot in 0..leaf.count as usize {
+                let e = store.entry_slice(&leaf_buf, slot);
+                let pos = entry.pos(e);
+                keys_leaf_order.push(entry.key(e));
+                pos_leaf_order.push(pos);
+                min_pos = min_pos.min(pos);
+                max_pos = max_pos.max(pos);
+            }
+        }
+        let (start, end) = if pos_leaf_order.is_empty() {
+            (0, 0)
+        } else {
+            (min_pos, max_pos + 1)
+        };
+        if end - start != entry_count {
+            return Err(Error::corrupt(
+                "index does not cover a contiguous position range",
+            ));
+        }
+        let mut keys_by_pos = vec![ZKey::MIN; (end - start) as usize];
+        for (k, p) in keys_leaf_order.iter().zip(pos_leaf_order.iter()) {
+            keys_by_pos[(p - start) as usize] = *k;
+        }
+        Ok(Summaries::new(
+            keys_by_pos,
+            keys_leaf_order,
+            pos_leaf_order,
+            leaves,
+        ))
+    }
+}
+
+/// The SIMS view of a leaf-structured index (Coconut-Tree or -Trie): its
+/// leaves, where the raw series live, and its summary cache. The scan
+/// order and fetcher are chosen here, once, for every query kind:
+/// materialized indexes scan in leaf order through [`LeafOrderFetcher`],
+/// the others in raw-file order through [`RawFileFetcher`].
+pub(crate) struct LeafScan<'a> {
+    pub(crate) store: &'a LeafStore,
+    pub(crate) leaves: &'a [LeafMeta],
+    pub(crate) summaries: &'a SummaryCache,
+    pub(crate) entry_count: u64,
+    pub(crate) dataset: &'a Dataset,
+    /// First raw-file position the index covers.
+    pub(crate) start: u64,
+    pub(crate) materialized: bool,
+    pub(crate) sax: &'a SaxConfig,
+    pub(crate) threads: usize,
+}
+
+impl LeafScan<'_> {
+    /// Approximate search: the true distance of every entry in the
+    /// `target` leaf and `radius` leaves on each side (one sequential read,
+    /// because neighboring leaves are physically adjacent). Counts leaf
+    /// I/O only.
+    pub(crate) fn approximate(
+        &self,
+        query: &[Value],
+        target: Option<usize>,
+        radius: usize,
+    ) -> Result<(Answer, QueryStats)> {
+        let mut best = Answer::none();
+        let mut stats = QueryStats::default();
+        let Some(li) = target else {
+            return Ok((best, stats));
+        };
+        let lo = li.saturating_sub(radius);
+        let hi = (li + radius).min(self.leaves.len() - 1);
+        let entry = self.store.entry();
+        let mut leaf_buf = Vec::new();
+        let mut series_buf = vec![0.0 as Value; self.sax.series_len];
+        let mut best_sq = f64::INFINITY;
+        for li in lo..=hi {
+            let leaf = &self.leaves[li];
+            self.store.read_leaf(leaf, &mut leaf_buf)?;
+            stats.leaves_visited += 1;
+            for slot in 0..leaf.count as usize {
+                let e = self.store.entry_slice(&leaf_buf, slot);
+                let pos = entry.pos(e);
+                if self.materialized {
+                    entry.series_into(e, &mut series_buf);
+                } else {
+                    self.dataset.read_into(pos, &mut series_buf)?;
+                }
+                stats.records_fetched += 1;
+                let d_sq = euclidean_sq(query, &series_buf);
+                if d_sq < best_sq {
+                    best_sq = d_sq;
+                    best = Answer {
+                        pos,
+                        dist: d_sq.sqrt(),
+                    };
+                }
+            }
+        }
+        Ok((best, stats))
+    }
+
+    /// Run one SIMS scan `f` over the index's key array and the matching
+    /// forward-only fetcher, loading the summaries on first use.
+    pub(crate) fn scan<T>(
+        &self,
+        f: impl FnOnce(&[ZKey], &mut dyn SeriesFetcher) -> Result<T>,
+    ) -> Result<T> {
+        let cached = self.summaries.read().as_ref().map(Arc::clone);
+        let summaries = match cached {
+            Some(s) => s,
+            None => {
+                let mut write = self.summaries.write();
+                match write.as_ref() {
+                    Some(s) => Arc::clone(s),
+                    None => {
+                        let s =
+                            Arc::new(Summaries::load(self.store, self.leaves, self.entry_count)?);
+                        *write = Some(Arc::clone(&s));
+                        s
+                    }
+                }
+            }
+        };
+        if self.materialized {
+            let mut fetcher = LeafOrderFetcher::new(self.store, self.leaves, &summaries);
+            f(&summaries.keys_leaf_order, &mut fetcher)
+        } else {
+            let mut fetcher = RawFileFetcher {
+                dataset: self.dataset,
+                start: self.start,
+            };
+            f(&summaries.keys_by_pos, &mut fetcher)
+        }
+    }
+
+    /// Exact k-NN: [`Self::approximate`] seeds [`sims_knn`]; the returned
+    /// counters cover both steps.
+    pub(crate) fn knn(
+        &self,
+        query: &[Value],
+        target: Option<usize>,
+        radius: usize,
+        k: usize,
+        bound: f64,
+        deadline: Deadline,
+    ) -> Result<(Vec<Answer>, QueryStats)> {
+        let (seed, mut stats) = self.approximate(query, target, radius)?;
+        let query_paa = paa(query, self.sax.segments);
+        let (answers, sims_stats) = self.scan(|keys, fetcher| {
+            sims_knn(
+                query,
+                &query_paa,
+                keys,
+                self.sax,
+                self.threads,
+                k,
+                bound,
+                seed,
+                fetcher,
+                deadline,
+            )
+        })?;
+        stats.add(&sims_stats);
+        Ok((answers, stats))
+    }
+
+    /// Every series within `epsilon` of the query ([`sims_range`]).
+    pub(crate) fn range(
+        &self,
+        query: &[Value],
+        epsilon: f64,
+        deadline: Deadline,
+    ) -> Result<(Vec<Answer>, QueryStats)> {
+        let query_paa = paa(query, self.sax.segments);
+        self.scan(|keys, fetcher| {
+            sims_range(
+                query,
+                &query_paa,
+                keys,
+                self.sax,
+                self.threads,
+                epsilon,
+                fetcher,
+                deadline,
+            )
+        })
+    }
+}
+
 impl SeriesIndex for CoconutTree {
     fn name(&self) -> String {
         if self.materialized {
@@ -1570,7 +1497,9 @@ mod tests {
         let tree =
             CoconutTree::build(&ds, &small_config(), dir.path(), BuildOptions::default()).unwrap();
         let q = query(55);
-        let (top, _) = tree.exact_knn(&q, 5).unwrap();
+        let (top, _) = tree
+            .exact_knn(&q, 5, None, f64::INFINITY, Deadline::NONE)
+            .unwrap();
         assert_eq!(top.len(), 5);
         for w in top.windows(2) {
             assert!(w[0].dist <= w[1].dist);
@@ -1842,7 +1771,7 @@ mod tests {
                 .collect();
             dists.sort_by(|a, b| a.1.total_cmp(&b.1));
             let eps = dists[9].1;
-            let (hits, _) = tree.exact_range(&q, eps).unwrap();
+            let (hits, _) = tree.exact_range(&q, eps, Deadline::NONE).unwrap();
             let expected: Vec<u64> = dists
                 .iter()
                 .take_while(|&&(_, d)| d <= eps)
@@ -1868,7 +1797,7 @@ mod tests {
         let tree =
             CoconutTree::build(&ds, &small_config(), dir.path(), BuildOptions::default()).unwrap();
         let member = ds.get(77).unwrap();
-        let (hits, _) = tree.exact_range(&member, 1e-6).unwrap();
+        let (hits, _) = tree.exact_range(&member, 1e-6, Deadline::NONE).unwrap();
         assert!(hits.iter().any(|a| a.pos == 77));
         assert!(hits.iter().all(|a| a.dist <= 1e-6));
     }

@@ -35,11 +35,9 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use coconut_series::dataset::Dataset;
-use coconut_series::distance::euclidean_sq;
 use coconut_series::index::{Answer, QueryStats, SeriesIndex};
 use coconut_series::Value;
 use coconut_storage::{CountedFile, Deadline, Error, RecordStream, Result};
-use coconut_summary::paa::paa;
 use coconut_summary::sax::Summarizer;
 use coconut_summary::ZKey;
 
@@ -51,9 +49,8 @@ use crate::layout::{
 };
 use crate::records::{KeyPos, KeySeries};
 use crate::shard::{sorted_key_pos_sharded, sorted_key_series_sharded};
-use crate::sims::{sims_exact, SeriesFetcher};
 use crate::split::{child_counts, merge_slots, SplitPolicy, SplitPolicyKind};
-use crate::tree::RawFileFetcher;
+use crate::tree::{LeafScan, Summaries, SummaryCache};
 
 static TRIE_ID: AtomicU64 = AtomicU64::new(0);
 
@@ -72,14 +69,6 @@ enum TrieNode {
     Multi { depth: u32, bits: u8, start: u32 },
 }
 
-/// In-memory summaries for SIMS (same shape as Coconut-Tree's).
-struct Summaries {
-    keys_by_pos: Vec<ZKey>,
-    keys_leaf_order: Vec<ZKey>,
-    pos_leaf_order: Vec<u64>,
-    leaf_starts: Vec<u64>,
-}
-
 /// The Coconut-Trie index.
 pub struct CoconutTrie {
     config: IndexConfig,
@@ -93,7 +82,7 @@ pub struct CoconutTrie {
     /// Slot arena for `TrieNode::Multi` nodes (empty on fixed builds).
     children: Vec<u32>,
     root: Option<u32>,
-    summaries: RwLock<Option<Arc<Summaries>>>,
+    summaries: SummaryCache,
     entry_count: u64,
     range: std::ops::Range<u64>,
     build_report: BuildReport,
@@ -293,19 +282,12 @@ impl CoconutTrie {
         }
         let keys_leaf_order: Vec<ZKey> = sorted.iter().map(|kp| kp.key).collect();
         let pos_leaf_order: Vec<u64> = sorted.iter().map(|kp| kp.pos).collect();
-        let mut leaf_starts = Vec::with_capacity(self.leaves.len() + 1);
-        let mut acc = 0u64;
-        for l in &self.leaves {
-            leaf_starts.push(acc);
-            acc += l.count as u64;
-        }
-        leaf_starts.push(acc);
-        *self.summaries.write() = Some(Arc::new(Summaries {
+        *self.summaries.write() = Some(Arc::new(Summaries::new(
             keys_by_pos,
             keys_leaf_order,
             pos_leaf_order,
-            leaf_starts,
-        }));
+            &self.leaves,
+        )));
         Ok(())
     }
 
@@ -759,272 +741,63 @@ impl CoconutTrie {
         Ok(summarizer.zkey(query))
     }
 
-    fn eval_leaf_range(
-        &self,
-        lo: usize,
-        hi: usize,
-        query: &[Value],
-        best: &mut Answer,
-        stats: &mut QueryStats,
-    ) -> Result<()> {
-        let entry = self.store.entry();
-        let mut leaf_buf = Vec::new();
-        let mut series_buf = vec![0.0 as Value; self.config.sax.series_len];
-        let mut best_sq = best.dist * best.dist;
-        for li in lo..=hi {
-            let leaf = &self.leaves[li];
-            self.store.read_leaf(leaf, &mut leaf_buf)?;
-            stats.leaves_visited += 1;
-            for slot in 0..leaf.count as usize {
-                let e = self.store.entry_slice(&leaf_buf, slot);
-                let pos = entry.pos(e);
-                if self.materialized {
-                    entry.series_into(e, &mut series_buf);
-                } else {
-                    self.dataset.read_into(pos, &mut series_buf)?;
-                }
-                stats.records_fetched += 1;
-                let d_sq = euclidean_sq(query, &series_buf);
-                if d_sq < best_sq {
-                    best_sq = d_sq;
-                    *best = Answer {
-                        pos,
-                        dist: d_sq.sqrt(),
-                    };
-                }
-            }
+    /// The SIMS view of this trie's leaves and summaries (the same scan
+    /// machinery as Coconut-Tree's).
+    fn leaf_scan(&self) -> LeafScan<'_> {
+        LeafScan {
+            store: &self.store,
+            leaves: &self.leaves,
+            summaries: &self.summaries,
+            entry_count: self.entry_count,
+            dataset: &self.dataset,
+            start: self.range.start,
+            materialized: self.materialized,
+            sax: &self.config.sax,
+            threads: self.threads,
         }
-        Ok(())
+    }
+
+    /// The leaf the query's key descends to (`None` on an empty trie).
+    fn target_leaf(&self, query: &[Value]) -> Result<Option<usize>> {
+        Ok(self.descend(self.query_key(query)?).map(|(li, _)| li))
     }
 
     /// Approximate search: descend to the single most promising leaf, plus
     /// `radius` physically neighboring leaves (contiguous on disk — the
     /// property Coconut-Trie adds over the state of the art).
     pub fn approximate_search(&self, query: &[Value], radius: usize) -> Result<Answer> {
-        Ok(self.approximate_search_with_stats(query, radius)?.0)
+        let target = self.target_leaf(query)?;
+        Ok(self.leaf_scan().approximate(query, target, radius)?.0)
     }
 
-    /// Approximate search with work counters.
-    pub fn approximate_search_with_stats(
+    /// Exact k-NN via SIMS (k = 1 is exact search), seeded by approximate
+    /// search over `radius` leaves on each side (`None`: the default
+    /// radius); see [`crate::CoconutTree::exact_knn`] for `bound` and
+    /// `deadline`.
+    pub fn exact_knn(
         &self,
         query: &[Value],
-        radius: usize,
-    ) -> Result<(Answer, QueryStats)> {
-        let key = self.query_key(query)?;
-        let mut stats = QueryStats::default();
-        let Some((li, _)) = self.descend(key) else {
-            return Ok((Answer::none(), stats));
-        };
-        let lo = li.saturating_sub(radius);
-        let hi = (li + radius).min(self.leaves.len() - 1);
-        let mut best = Answer::none();
-        self.eval_leaf_range(lo, hi, query, &mut best, &mut stats)?;
-        Ok((best, stats))
-    }
-
-    fn load_summaries(&self) -> Result<Arc<Summaries>> {
-        if let Some(s) = self.summaries.read().as_ref() {
-            return Ok(Arc::clone(s));
-        }
-        let mut write = self.summaries.write();
-        if let Some(s) = write.as_ref() {
-            return Ok(Arc::clone(s));
-        }
-        let entry = self.store.entry();
-        let mut keys_leaf_order = Vec::with_capacity(self.entry_count as usize);
-        let mut pos_leaf_order = Vec::with_capacity(self.entry_count as usize);
-        let mut leaf_starts = Vec::with_capacity(self.leaves.len() + 1);
-        let mut leaf_buf = Vec::new();
-        let mut acc = 0u64;
-        let mut min_pos = u64::MAX;
-        let mut max_pos = 0u64;
-        for leaf in &self.leaves {
-            leaf_starts.push(acc);
-            acc += leaf.count as u64;
-            self.store.read_leaf(leaf, &mut leaf_buf)?;
-            for slot in 0..leaf.count as usize {
-                let e = self.store.entry_slice(&leaf_buf, slot);
-                let pos = entry.pos(e);
-                keys_leaf_order.push(entry.key(e));
-                pos_leaf_order.push(pos);
-                min_pos = min_pos.min(pos);
-                max_pos = max_pos.max(pos);
-            }
-        }
-        leaf_starts.push(acc);
-        let (start, end) = if pos_leaf_order.is_empty() {
-            (0, 0)
-        } else {
-            (min_pos, max_pos + 1)
-        };
-        if end - start != self.entry_count {
-            return Err(Error::corrupt(
-                "index does not cover a contiguous position range",
-            ));
-        }
-        let mut keys_by_pos = vec![ZKey::MIN; (end - start) as usize];
-        for (k, p) in keys_leaf_order.iter().zip(pos_leaf_order.iter()) {
-            keys_by_pos[(p - start) as usize] = *k;
-        }
-        let s = Arc::new(Summaries {
-            keys_by_pos,
-            keys_leaf_order,
-            pos_leaf_order,
-            leaf_starts,
-        });
-        *write = Some(Arc::clone(&s));
-        Ok(s)
-    }
-
-    /// Exact search via SIMS, seeded by approximate search with the default
-    /// radius.
-    pub fn exact_search(&self, query: &[Value]) -> Result<(Answer, QueryStats)> {
-        self.exact_search_with_radius(query, self.default_radius)
-    }
-
-    /// Exact search with an explicit seed radius.
-    pub fn exact_search_with_radius(
-        &self,
-        query: &[Value],
-        radius: usize,
-    ) -> Result<(Answer, QueryStats)> {
-        let (seed, mut stats) = self.approximate_search_with_stats(query, radius)?;
-        let summaries = self.load_summaries()?;
-        let query_paa = paa(query, self.config.sax.segments);
-        let (answer, sims_stats) = if self.materialized {
-            let mut fetcher = TrieLeafFetcher {
-                store: &self.store,
-                leaves: &self.leaves,
-                leaf_starts: &summaries.leaf_starts,
-                pos_leaf_order: &summaries.pos_leaf_order,
-                cur_leaf: 0,
-                leaf_buf: Vec::new(),
-                loaded: false,
-            };
-            sims_exact(
-                query,
-                &query_paa,
-                &summaries.keys_leaf_order,
-                &self.config.sax,
-                self.threads,
-                seed,
-                &mut fetcher,
-                Deadline::NONE,
-            )?
-        } else {
-            let mut fetcher = RawFileFetcher {
-                dataset: &self.dataset,
-                start: self.range.start,
-            };
-            sims_exact(
-                query,
-                &query_paa,
-                &summaries.keys_by_pos,
-                &self.config.sax,
-                self.threads,
-                seed,
-                &mut fetcher,
-                Deadline::NONE,
-            )?
-        };
-        stats.add(&sims_stats);
-        Ok((answer, stats))
-    }
-
-    /// Exact k-nearest-neighbors (extension beyond the paper).
-    pub fn exact_knn(&self, query: &[Value], k: usize) -> Result<(Vec<Answer>, QueryStats)> {
-        let (seed, mut stats) = self.approximate_search_with_stats(query, self.default_radius)?;
-        let summaries = self.load_summaries()?;
-        let query_paa = paa(query, self.config.sax.segments);
-        let seeds = if seed.is_some() {
-            vec![seed]
-        } else {
-            Vec::new()
-        };
-        let (answers, sims_stats) = if self.materialized {
-            let mut fetcher = TrieLeafFetcher {
-                store: &self.store,
-                leaves: &self.leaves,
-                leaf_starts: &summaries.leaf_starts,
-                pos_leaf_order: &summaries.pos_leaf_order,
-                cur_leaf: 0,
-                leaf_buf: Vec::new(),
-                loaded: false,
-            };
-            crate::sims::sims_exact_knn(
-                query,
-                &query_paa,
-                &summaries.keys_leaf_order,
-                &self.config.sax,
-                self.threads,
-                k,
-                &seeds,
-                &mut fetcher,
-                Deadline::NONE,
-            )?
-        } else {
-            let mut fetcher = RawFileFetcher {
-                dataset: &self.dataset,
-                start: self.range.start,
-            };
-            crate::sims::sims_exact_knn(
-                query,
-                &query_paa,
-                &summaries.keys_by_pos,
-                &self.config.sax,
-                self.threads,
-                k,
-                &seeds,
-                &mut fetcher,
-                Deadline::NONE,
-            )?
-        };
-        stats.add(&sims_stats);
-        Ok((answers, stats))
+        k: usize,
+        radius: Option<usize>,
+        bound: f64,
+        deadline: Deadline,
+    ) -> Result<(Vec<Answer>, QueryStats)> {
+        let target = self.target_leaf(query)?;
+        let radius = radius.unwrap_or(self.default_radius);
+        self.leaf_scan()
+            .knn(query, target, radius, k, bound, deadline)
     }
 
     /// Exact range query (extension): every series within Euclidean
     /// distance `epsilon`, sorted by distance.
-    pub fn exact_range(&self, query: &[Value], epsilon: f64) -> Result<(Vec<Answer>, QueryStats)> {
+    pub fn exact_range(
+        &self,
+        query: &[Value],
+        epsilon: f64,
+        deadline: Deadline,
+    ) -> Result<(Vec<Answer>, QueryStats)> {
         self.query_key(query)?;
-        let summaries = self.load_summaries()?;
-        let query_paa = paa(query, self.config.sax.segments);
-        if self.materialized {
-            let mut fetcher = TrieLeafFetcher {
-                store: &self.store,
-                leaves: &self.leaves,
-                leaf_starts: &summaries.leaf_starts,
-                pos_leaf_order: &summaries.pos_leaf_order,
-                cur_leaf: 0,
-                leaf_buf: Vec::new(),
-                loaded: false,
-            };
-            crate::sims::sims_range(
-                query,
-                &query_paa,
-                &summaries.keys_leaf_order,
-                &self.config.sax,
-                self.threads,
-                epsilon,
-                &mut fetcher,
-                Deadline::NONE,
-            )
-        } else {
-            let mut fetcher = RawFileFetcher {
-                dataset: &self.dataset,
-                start: self.range.start,
-            };
-            crate::sims::sims_range(
-                query,
-                &query_paa,
-                &summaries.keys_by_pos,
-                &self.config.sax,
-                self.threads,
-                epsilon,
-                &mut fetcher,
-                Deadline::NONE,
-            )
-        }
+        self.leaf_scan().range(query, epsilon, deadline)
     }
 
     /// Mean leaf occupancy relative to capacity — low by construction for
@@ -1042,35 +815,6 @@ impl CoconutTrie {
     }
 }
 
-/// Materialized-trie SIMS fetcher (leaf order; forward-only).
-struct TrieLeafFetcher<'a> {
-    store: &'a LeafStore,
-    leaves: &'a [LeafMeta],
-    leaf_starts: &'a [u64],
-    pos_leaf_order: &'a [u64],
-    cur_leaf: usize,
-    leaf_buf: Vec<u8>,
-    loaded: bool,
-}
-
-impl SeriesFetcher for TrieLeafFetcher<'_> {
-    fn fetch(&mut self, i: usize, out: &mut [Value]) -> Result<u64> {
-        let i64 = i as u64;
-        if !self.loaded || i64 >= self.leaf_starts[self.cur_leaf + 1] {
-            while i64 >= self.leaf_starts[self.cur_leaf + 1] {
-                self.cur_leaf += 1;
-            }
-            self.store
-                .read_leaf(&self.leaves[self.cur_leaf], &mut self.leaf_buf)?;
-            self.loaded = true;
-        }
-        let slot = (i64 - self.leaf_starts[self.cur_leaf]) as usize;
-        let e = self.store.entry_slice(&self.leaf_buf, slot);
-        self.store.entry().series_into(e, out);
-        Ok(self.pos_leaf_order[i])
-    }
-}
-
 impl SeriesIndex for CoconutTrie {
     fn name(&self) -> String {
         if self.materialized {
@@ -1085,7 +829,8 @@ impl SeriesIndex for CoconutTrie {
     }
 
     fn exact(&self, query: &[Value]) -> Result<(Answer, QueryStats)> {
-        self.exact_search(query)
+        let (top, stats) = self.exact_knn(query, 1, None, f64::INFINITY, Deadline::NONE)?;
+        Ok((top.first().copied().unwrap_or(Answer::none()), stats))
     }
 
     fn disk_bytes(&self) -> u64 {
@@ -1193,7 +938,7 @@ mod tests {
             CoconutTrie::build(&ds, &small_config(), dir.path(), BuildOptions::default()).unwrap();
         for seed in 100..110 {
             let q = query(seed);
-            let (ans, _) = trie.exact_search(&q).unwrap();
+            let (ans, _) = trie.exact(&q).unwrap();
             let expect = brute_force(&ds, &q);
             assert_eq!(ans.pos, expect.pos, "seed {seed}");
         }
@@ -1212,7 +957,7 @@ mod tests {
         .unwrap();
         for seed in 200..206 {
             let q = query(seed);
-            let (ans, _) = trie.exact_search(&q).unwrap();
+            let (ans, _) = trie.exact(&q).unwrap();
             let expect = brute_force(&ds, &q);
             assert_eq!(ans.pos, expect.pos, "seed {seed}");
         }
@@ -1227,7 +972,7 @@ mod tests {
         for seed in 300..308 {
             let q = query(seed);
             let approx = trie.approximate_search(&q, 1).unwrap();
-            let (exact, _) = trie.exact_search(&q).unwrap();
+            let (exact, _) = trie.exact(&q).unwrap();
             assert!(exact.dist <= approx.dist + 1e-9);
         }
     }
@@ -1244,8 +989,8 @@ mod tests {
         assert_eq!(reopened.node_count(), built.node_count());
         for seed in 400..405 {
             let q = query(seed);
-            let (a, _) = built.exact_search(&q).unwrap();
-            let (b, _) = reopened.exact_search(&q).unwrap();
+            let (a, _) = built.exact(&q).unwrap();
+            let (b, _) = reopened.exact(&q).unwrap();
             assert_eq!(a.pos, b.pos);
         }
     }
@@ -1271,7 +1016,7 @@ mod tests {
         assert!(trie.leaves[0].blocks_used > 1);
         // Queries still work.
         let q = query(1);
-        let (ans, _) = trie.exact_search(&q).unwrap();
+        let (ans, _) = trie.exact(&q).unwrap();
         assert!(ans.is_some());
     }
 
@@ -1290,8 +1035,12 @@ mod tests {
         .unwrap();
         for seed in 500..504 {
             let q = query(seed);
-            let (a, _) = trie.exact_knn(&q, 4).unwrap();
-            let (b, _) = tree.exact_knn(&q, 4).unwrap();
+            let (a, _) = trie
+                .exact_knn(&q, 4, None, f64::INFINITY, Deadline::NONE)
+                .unwrap();
+            let (b, _) = tree
+                .exact_knn(&q, 4, None, f64::INFINITY, Deadline::NONE)
+                .unwrap();
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b.iter()) {
                 assert!((x.dist - y.dist).abs() < 1e-9, "seed {seed}");
@@ -1311,7 +1060,7 @@ mod tests {
             .collect();
         dists.sort_by(|a, b| a.1.total_cmp(&b.1));
         let eps = dists[4].1;
-        let (hits, _) = trie.exact_range(&q, eps).unwrap();
+        let (hits, _) = trie.exact_range(&q, eps, Deadline::NONE).unwrap();
         let expected: Vec<u64> = dists
             .iter()
             .take_while(|&&(_, d)| d <= eps)
@@ -1364,7 +1113,7 @@ mod tests {
         assert!(trie.is_empty());
         let q = query(9);
         assert!(!trie.approximate_search(&q, 1).unwrap().is_some());
-        let (ans, _) = trie.exact_search(&q).unwrap();
+        let (ans, _) = trie.exact(&q).unwrap();
         assert!(!ans.is_some());
     }
 
@@ -1419,23 +1168,27 @@ mod tests {
                 .unwrap();
         for seed in 600..610 {
             let q = query(seed);
-            let (a, _) = adaptive.exact_search(&q).unwrap();
-            let (f, _) = fixed.exact_search(&q).unwrap();
+            let (a, _) = adaptive.exact(&q).unwrap();
+            let (f, _) = fixed.exact(&q).unwrap();
             let expect = brute_force(&ds, &q);
             assert_eq!(a.pos, expect.pos, "seed {seed}: adaptive vs brute force");
             assert_eq!(a.pos, f.pos, "seed {seed}: adaptive vs fixed");
             assert!((a.dist - f.dist).abs() < 1e-9);
 
-            let (ka, _) = adaptive.exact_knn(&q, 4).unwrap();
-            let (kf, _) = fixed.exact_knn(&q, 4).unwrap();
+            let (ka, _) = adaptive
+                .exact_knn(&q, 4, None, f64::INFINITY, Deadline::NONE)
+                .unwrap();
+            let (kf, _) = fixed
+                .exact_knn(&q, 4, None, f64::INFINITY, Deadline::NONE)
+                .unwrap();
             assert_eq!(ka.len(), kf.len());
             for (x, y) in ka.iter().zip(kf.iter()) {
                 assert_eq!(x.pos, y.pos, "seed {seed}: kNN diverged");
             }
 
             let eps = expect.dist * 1.5;
-            let (ra, _) = adaptive.exact_range(&q, eps).unwrap();
-            let (rf, _) = fixed.exact_range(&q, eps).unwrap();
+            let (ra, _) = adaptive.exact_range(&q, eps, Deadline::NONE).unwrap();
+            let (rf, _) = fixed.exact_range(&q, eps, Deadline::NONE).unwrap();
             let mut pa: Vec<u64> = ra.iter().map(|x| x.pos).collect();
             let mut pf: Vec<u64> = rf.iter().map(|x| x.pos).collect();
             pa.sort_unstable();
@@ -1502,8 +1255,8 @@ mod tests {
         assert_eq!(reopened.leaf_entry_counts(), built.leaf_entry_counts());
         for seed in 700..706 {
             let q = query(seed);
-            let (a, _) = built.exact_search(&q).unwrap();
-            let (b, _) = reopened.exact_search(&q).unwrap();
+            let (a, _) = built.exact(&q).unwrap();
+            let (b, _) = reopened.exact(&q).unwrap();
             assert_eq!(a.pos, b.pos);
         }
     }

@@ -130,7 +130,10 @@ fn check_damaged_index(dir: &Path) {
     let covered = lsm.covered_end();
     assert!(covered <= N, "covered={covered} grew past the dataset");
     let q: Vec<f32> = ds.get(N / 2).unwrap();
-    match lsm.snapshot().exact(&q, Deadline::NONE) {
+    match lsm
+        .snapshot()
+        .exact_bounded(&q, f64::INFINITY, Deadline::NONE)
+    {
         Err(e) => assert!(!e.to_string().is_empty()),
         Ok((got, _)) => {
             let want = oracle_prefix(&ds, &q, covered);

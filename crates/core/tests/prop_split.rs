@@ -18,7 +18,7 @@ use coconut_series::distance::{euclidean, znormalize};
 use coconut_series::gen::{Generator, RandomWalkGen};
 use coconut_series::index::SeriesIndex;
 use coconut_series::Value;
-use coconut_storage::{IoStats, TempDir};
+use coconut_storage::{Deadline, IoStats, TempDir};
 use proptest::prelude::*;
 
 const LEN: usize = 32;
@@ -95,15 +95,19 @@ fn check_identical(trie: &CoconutTrie, other: &CoconutTrie, all: &[Vec<Value>], 
     let q = query(qseed);
     let truth = oracle(all, &q);
 
-    let (a, _) = trie.exact_search(&q).unwrap();
-    let (f, _) = other.exact_search(&q).unwrap();
+    let (a, _) = trie.exact(&q).unwrap();
+    let (f, _) = other.exact(&q).unwrap();
     prop_assert_eq!(a.pos, f.pos, "1-NN diverged across policies");
     prop_assert_eq!(a.dist.to_bits(), f.dist.to_bits(), "1-NN dist bits");
     prop_assert_eq!(a.pos, truth[0].0, "1-NN diverged from oracle");
 
     let k = 5.min(all.len());
-    let (ka, _) = trie.exact_knn(&q, k).unwrap();
-    let (kf, _) = other.exact_knn(&q, k).unwrap();
+    let (ka, _) = trie
+        .exact_knn(&q, k, None, f64::INFINITY, Deadline::NONE)
+        .unwrap();
+    let (kf, _) = other
+        .exact_knn(&q, k, None, f64::INFINITY, Deadline::NONE)
+        .unwrap();
     prop_assert_eq!(ka.len(), kf.len());
     for (i, (x, y)) in ka.iter().zip(kf.iter()).enumerate() {
         prop_assert_eq!(x.pos, y.pos, "kNN[{}] pos diverged across policies", i);
@@ -118,8 +122,8 @@ fn check_identical(trie: &CoconutTrie, other: &CoconutTrie, all: &[Vec<Value>], 
     }
 
     let eps = truth[k - 1].1 * 1.2;
-    let (ra, _) = trie.exact_range(&q, eps).unwrap();
-    let (rf, _) = other.exact_range(&q, eps).unwrap();
+    let (ra, _) = trie.exact_range(&q, eps, Deadline::NONE).unwrap();
+    let (rf, _) = other.exact_range(&q, eps, Deadline::NONE).unwrap();
     let mut pa: Vec<u64> = ra.iter().map(|x| x.pos).collect();
     let mut pf: Vec<u64> = rf.iter().map(|x| x.pos).collect();
     let mut truth_in: Vec<u64> = truth

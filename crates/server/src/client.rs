@@ -414,22 +414,6 @@ fn field_u64(body: &str, key: &str) -> Result<u64> {
         .map_err(|_| Error::corrupt(format!("shard reply field {key}{raw} is not an integer")))
 }
 
-/// Parse `pos=<n>|none dist=<d>` into an [`Answer`].
-fn parse_answer(body: &str) -> Result<Answer> {
-    let pos = field(body, "pos=")?;
-    if pos == "none" {
-        return Ok(Answer::none());
-    }
-    let pos: u64 = pos
-        .parse()
-        .map_err(|_| Error::corrupt(format!("shard reply pos={pos} is not an integer")))?;
-    let dist = field(body, "dist=")?;
-    let dist: f64 = dist
-        .parse()
-        .map_err(|_| Error::corrupt(format!("shard reply dist={dist} is not a float")))?;
-    Ok(Answer { pos, dist })
-}
-
 /// Parse `hits=none|p:d,p:d,...` into an answer list.
 fn parse_hits(body: &str) -> Result<Vec<Answer>> {
     let hits = field(body, "hits=")?;
@@ -486,19 +470,6 @@ impl ShardBackend for RemoteShard {
         parse_shard_info(&body)
     }
 
-    fn exact(&self, query: &[Value], bound: f64, deadline: Deadline) -> Result<Answer> {
-        let line = format!(
-            "EXACT {}{}{}",
-            fmt_query(query),
-            fmt_deadline(deadline),
-            fmt_bound(bound)
-        );
-        let body = self.request(&line, deadline)?;
-        let answer = parse_answer(&body)?;
-        self.note_candidates(answer.is_some() as usize);
-        Ok(answer)
-    }
-
     fn knn(
         &self,
         query: &[Value],
@@ -544,16 +515,9 @@ mod tests {
             None,
         )
         .unwrap();
-        let a = parse_answer("exact pos=7 dist=1.5e300 covered=10 seq=2 fetched=3").unwrap();
-        assert_eq!(a.pos, 7);
-        assert_eq!(a.dist.to_bits(), 1.5e300f64.to_bits());
-        assert!(
-            !parse_answer("exact pos=none dist=inf covered=0 seq=0 fetched=0")
-                .unwrap()
-                .is_some()
-        );
-        let hits = parse_hits("knn k=2 hits=3:0.25,9:1.75").unwrap();
+        let hits = parse_hits("knn k=2 hits=3:1.5e300,9:1.75").unwrap();
         assert_eq!(hits.len(), 2);
+        assert_eq!(hits[0].dist.to_bits(), 1.5e300f64.to_bits());
         assert_eq!(hits[1].pos, 9);
         assert!(parse_hits("range eps=1 hits=none").unwrap().is_empty());
         let info = parse_shard_info("shard-info start=5 end=10 covered=7 seq=4 runs=2").unwrap();

@@ -9,14 +9,19 @@
 //!
 //! Scatter-gather rounds:
 //!
-//! * `EXACT` visits shards in ascending slice order, passing each the best
-//!   distance so far as its pruning `bound=` — a shard whose slice cannot
-//!   beat the bound does almost no work and returns `pos=none`.
-//! * `KNN` keeps the merged top-k across shards and forwards the current
-//!   k-th distance as the bound; the final merge sorts by
+//! * `KNN` visits shards in ascending slice order, keeps the merged top-k
+//!   and forwards the current k-th distance as each shard's pruning
+//!   `bound=` — a shard whose slice cannot beat the bound does almost no
+//!   work and returns `hits=none`. The final merge sorts by
 //!   `(distance, position)` so ties break identically to a single index.
+//! * `EXACT` is the same walk with k = 1 (the shards see `KNN k=1`),
+//!   replied to in the single-node `pos= dist=` form.
 //! * `RANGE` has a fixed radius (no bound tightening), so all shards are
 //!   queried in parallel and the hit lists are merged sorted.
+//!
+//! `mode=strict` and `mode=degraded` take the same walk; strict mode only
+//! turns the first unreachable or timed-out shard into the query's error
+//! (see `coconut_core::backend`).
 //!
 //! It implements [`Handler`], so the ordinary [`crate::Server`] listener
 //! serves it: clients speak the exact same line protocol to a coordinator
@@ -29,6 +34,7 @@ use std::time::{Duration, Instant};
 use coconut_core::backend::partition;
 use coconut_core::ShardSet;
 use coconut_series::dataset::Dataset;
+use coconut_series::index::Answer;
 use coconut_storage::{Deadline, Error, Result};
 
 use crate::client::{ClientConfig, RemoteShard};
@@ -170,20 +176,16 @@ impl CoordinatorEngine {
                 let deadline = self.deadline(*deadline_ms);
                 let q = resolve_query(&self.dataset, query)?;
                 let started = Instant::now();
-                let (answer, missing) = if *degraded {
-                    let partial = self.set.exact_degraded(&q, deadline)?;
-                    (partial.value, partial.missing)
-                } else {
-                    (self.set.exact(&q, deadline)?, Vec::new())
-                };
+                let partial = self.set.knn(&q, 1, *degraded, deadline)?;
                 self.metrics.record_query(started.elapsed().as_secs_f64());
-                self.note_degraded(&missing);
+                self.note_degraded(&partial.missing);
+                let answer = partial.value.first().copied().unwrap_or(Answer::none());
                 Ok(format!(
                     "OK exact {} covered={} seq={}{}",
                     fmt_answer(&answer),
                     covered(),
                     seq(),
-                    fmt_missing(&missing)
+                    fmt_missing(&partial.missing)
                 ))
             }
             Request::Knn {
@@ -196,21 +198,16 @@ impl CoordinatorEngine {
                 let deadline = self.deadline(*deadline_ms);
                 let q = resolve_query(&self.dataset, query)?;
                 let started = Instant::now();
-                let (answers, missing) = if *degraded {
-                    let partial = self.set.knn_degraded(&q, *k, deadline)?;
-                    (partial.value, partial.missing)
-                } else {
-                    (self.set.knn(&q, *k, deadline)?, Vec::new())
-                };
+                let partial = self.set.knn(&q, *k, *degraded, deadline)?;
                 self.metrics.record_query(started.elapsed().as_secs_f64());
-                self.note_degraded(&missing);
+                self.note_degraded(&partial.missing);
                 Ok(format!(
                     "OK knn k={} covered={} seq={} hits={}{}",
                     k,
                     covered(),
                     seq(),
-                    fmt_hits(&answers),
-                    fmt_missing(&missing)
+                    fmt_hits(&partial.value),
+                    fmt_missing(&partial.missing)
                 ))
             }
             Request::Range {
@@ -222,21 +219,16 @@ impl CoordinatorEngine {
                 let deadline = self.deadline(*deadline_ms);
                 let q = resolve_query(&self.dataset, query)?;
                 let started = Instant::now();
-                let (answers, missing) = if *degraded {
-                    let partial = self.set.range_degraded(&q, *epsilon, deadline)?;
-                    (partial.value, partial.missing)
-                } else {
-                    (self.set.range(&q, *epsilon, deadline)?, Vec::new())
-                };
+                let partial = self.set.range(&q, *epsilon, *degraded, deadline)?;
                 self.metrics.record_query(started.elapsed().as_secs_f64());
-                self.note_degraded(&missing);
+                self.note_degraded(&partial.missing);
                 Ok(format!(
                     "OK range eps={} covered={} seq={} hits={}{}",
                     epsilon,
                     covered(),
                     seq(),
-                    fmt_hits(&answers),
-                    fmt_missing(&missing)
+                    fmt_hits(&partial.value),
+                    fmt_missing(&partial.missing)
                 ))
             }
             Request::Ingest { upto } => {

@@ -59,7 +59,8 @@ pub trait Handler: Send + Sync + 'static {
     fn metrics_text(&self) -> String;
     /// One-line health summary (the `GET /health` body).
     fn health_line(&self) -> String;
-    /// Called when the admission queue refused a connection.
+    /// Called when the admission queue refuses a connection, before the
+    /// `ERR busy` reply is written.
     fn on_rejected(&self);
     /// Called when a connection is closed by the idle-read timeout.
     fn on_idle_disconnect(&self) {}

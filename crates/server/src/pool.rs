@@ -47,6 +47,7 @@ const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// A fixed set of worker threads fed connections through a bounded queue.
 pub struct Pool<H: Handler = Engine> {
+    handler: Arc<H>,
     tx: Mutex<Option<SyncSender<TcpStream>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     _marker: std::marker::PhantomData<fn() -> H>,
@@ -82,6 +83,7 @@ impl<H: Handler> Pool<H> {
             })
             .collect();
         Pool {
+            handler,
             tx: Mutex::new(Some(tx)),
             workers: Mutex::new(workers),
             _marker: std::marker::PhantomData,
@@ -89,15 +91,22 @@ impl<H: Handler> Pool<H> {
     }
 
     /// Hand a connection to the pool. Returns `false` (connection refused,
-    /// `ERR busy` already written) when the admission queue is full.
+    /// `ERR busy` already written) when the admission queue is full. The
+    /// refusal is counted ([`Handler::on_rejected`]) *before* the reply is
+    /// written, so a client or scrape that has seen `ERR busy` also sees
+    /// the counter that records it.
     pub fn dispatch(&self, stream: TcpStream) -> bool {
         let tx = match self.tx.lock().clone() {
             Some(tx) => tx,
-            None => return false,
+            None => {
+                self.handler.on_rejected();
+                return false;
+            }
         };
         match tx.try_send(stream) {
             Ok(()) => true,
             Err(TrySendError::Full(mut stream)) | Err(TrySendError::Disconnected(mut stream)) => {
+                self.handler.on_rejected();
                 let _ = stream.write_all(b"ERR busy: admission queue full\n");
                 let _ = stream.shutdown(std::net::Shutdown::Both);
                 false

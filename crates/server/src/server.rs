@@ -73,7 +73,6 @@ impl<H: Handler> Server<H> {
         ));
         let accept = {
             let shutdown = Arc::clone(&shutdown);
-            let engine = Arc::clone(&engine);
             let pool = Arc::clone(&pool);
             std::thread::Builder::new()
                 .name("coconut-accept".into())
@@ -83,9 +82,7 @@ impl<H: Handler> Server<H> {
                             break;
                         }
                         if let Ok(stream) = conn {
-                            if !pool.dispatch(stream) {
-                                engine.on_rejected();
-                            }
+                            pool.dispatch(stream);
                         }
                     }
                 })

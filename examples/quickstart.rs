@@ -67,7 +67,7 @@ fn main() -> coconut::storage::Result<()> {
     assert!(exact.dist <= approx.dist);
 
     // 4. k-NN (an extension beyond the paper).
-    let (top5, _) = tree.exact_knn(&query, 5)?;
+    let (top5, _) = tree.exact_knn(&query, 5, None, f64::INFINITY, Deadline::NONE)?;
     println!("top-5 neighbors:");
     for (rank, a) in top5.iter().enumerate() {
         println!(

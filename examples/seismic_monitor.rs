@@ -86,7 +86,7 @@ fn main() -> coconut::storage::Result<()> {
 
     // Dense data: neighbors of the best hit are near-duplicates (the
     // overlapping windows). Show the top matches.
-    let (matches, _) = tree.exact_knn(&template, 5)?;
+    let (matches, _) = tree.exact_knn(&template, 5, None, f64::INFINITY, Deadline::NONE)?;
     println!("\nclosest recorded windows (note the adjacent, overlapping positions):");
     for m in &matches {
         println!("  window #{:>6} at distance {:.3}", m.pos, m.dist);

@@ -67,7 +67,7 @@ fn parallel_exact_queries_agree_with_scan() {
                 for (q, &want) in queries.iter().zip(truths.iter()) {
                     let (a, _) = tree.exact_search(q).unwrap();
                     assert_eq!(a.pos, want, "tree worker {worker}");
-                    let (b, _) = trie.exact_search(q).unwrap();
+                    let (b, _) = trie.exact(q).unwrap();
                     assert_eq!(b.pos, want, "trie worker {worker}");
                 }
             });
@@ -292,7 +292,9 @@ fn multi_writer_ingest_under_query_load_and_compaction_churn() {
                     // no matter what commits and compactions land mid-query.
                     let covered = snap.covered_end() as usize;
                     if covered > 0 {
-                        let (ans, _) = snap.exact(&query, Deadline::NONE).unwrap();
+                        let (ans, _) = snap
+                            .exact_bounded(&query, f64::INFINITY, Deadline::NONE)
+                            .unwrap();
                         let mut best = f64::INFINITY;
                         let mut pos = 0u64;
                         for (i, series) in all[..covered].iter().enumerate() {

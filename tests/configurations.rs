@@ -69,7 +69,7 @@ fn exactness_across_sax_configurations() {
         for q in queries(len) {
             let (truth, _) = scan.exact(&q).unwrap();
             let (a, _) = tree.exact_search(&q).unwrap();
-            let (b, _) = trie.exact_search(&q).unwrap();
+            let (b, _) = trie.exact(&q).unwrap();
             assert_eq!(
                 a.pos, truth.pos,
                 "tree len={len} w={segments} bits={card_bits}"

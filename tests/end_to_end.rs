@@ -158,7 +158,7 @@ fn member_queries_find_themselves() {
         let member = f.dataset.get(pos).unwrap();
         for (name, (ans, _)) in [
             ("tree", tree.exact_search(&member).unwrap()),
-            ("trie", trie.exact_search(&member).unwrap()),
+            ("trie", trie.exact(&member).unwrap()),
         ] {
             assert!(
                 ans.dist < 1e-4,

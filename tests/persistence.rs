@@ -71,15 +71,12 @@ fn trie_roundtrips_through_disk() {
         };
         let built = CoconutTrie::build(&dataset, &config(), dir.path(), opts).unwrap();
         let path = built.index_path().to_path_buf();
-        let expected: Vec<_> = queries
-            .iter()
-            .map(|q| built.exact_search(q).unwrap().0)
-            .collect();
+        let expected: Vec<_> = queries.iter().map(|q| built.exact(q).unwrap().0).collect();
         drop(built);
 
         let reopened = CoconutTrie::open(&path, &dataset, 2).unwrap();
         for (q, want) in queries.iter().zip(expected.iter()) {
-            let (got, _) = reopened.exact_search(q).unwrap();
+            let (got, _) = reopened.exact(q).unwrap();
             assert_eq!(got.pos, want.pos, "materialized={materialized}");
         }
     }

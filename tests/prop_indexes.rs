@@ -70,7 +70,7 @@ proptest! {
         let trie = CoconutTrie::build(&dataset, &config(leaf), dir.path(), opts).unwrap();
         let scan = SerialScan::new(&dataset);
         let (truth, _) = scan.exact(&query).unwrap();
-        let (got, _) = trie.exact_search(&query).unwrap();
+        let (got, _) = trie.exact(&query).unwrap();
         prop_assert!((got.dist - truth.dist).abs() < 1e-4);
     }
 
@@ -84,7 +84,7 @@ proptest! {
         let dataset = write_series(&dir, &data);
         let opts = BuildOptions { memory_bytes: 1 << 20, materialized: false, threads: 1, shards: 1 };
         let tree = CoconutTree::build(&dataset, &config(16), dir.path(), opts).unwrap();
-        let (top, _) = tree.exact_knn(&query, k).unwrap();
+        let (top, _) = tree.exact_knn(&query, k, None, f64::INFINITY, Deadline::NONE).unwrap();
         // Brute-force top-k distances.
         let mut dists: Vec<f64> = data
             .iter()

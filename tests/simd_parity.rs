@@ -11,7 +11,7 @@
 //! test compare scalar against scalar (trivially green) while every other
 //! suite exercises the scalar path end to end.
 
-use coconut::index::sims::{sims_exact, sims_exact_knn, sims_range, SeriesFetcher};
+use coconut::index::sims::{sims_knn, sims_range, SeriesFetcher};
 use coconut::prelude::*;
 use coconut::series::distance::znormalize;
 use coconut::series::Value;
@@ -55,17 +55,20 @@ fn answers_digest() -> String {
         let qp = paa(&q, config.segments);
 
         let mut fetcher = VecFetcher { data: &data };
-        let (ans, _) = sims_exact(
+        let (nn, _) = sims_knn(
             &q,
             &qp,
             &keys,
             &config,
             2,
+            1,
+            f64::INFINITY,
             Answer::none(),
             &mut fetcher,
             Deadline::NONE,
         )
         .unwrap();
+        let ans = nn[0];
         let _ = writeln!(
             digest,
             "q{qi} exact pos={} dist={:016x}",
@@ -74,14 +77,15 @@ fn answers_digest() -> String {
         );
 
         let mut fetcher = VecFetcher { data: &data };
-        let (knn, _) = sims_exact_knn(
+        let (knn, _) = sims_knn(
             &q,
             &qp,
             &keys,
             &config,
             2,
             3,
-            &[],
+            f64::INFINITY,
+            Answer::none(),
             &mut fetcher,
             Deadline::NONE,
         )

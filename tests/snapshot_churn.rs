@@ -93,7 +93,9 @@ fn concurrent_readers_stay_oracle_exact_during_ingest_and_compaction() {
                     for _ in 0..3 {
                         seed += 1;
                         let q = query(seed);
-                        let (ans, _) = snap.exact(&q, Deadline::NONE).unwrap();
+                        let (ans, _) = snap
+                            .exact_bounded(&q, f64::INFINITY, Deadline::NONE)
+                            .unwrap();
                         let got = ans.is_some().then_some(ans.pos);
                         let want = brute_force_pos(&all[..covered], &q);
                         assert_eq!(
@@ -165,7 +167,9 @@ fn pinned_snapshot_keeps_run_dirs_until_dropped() {
     // ...and the snapshot still answers over its pinned (pre-compaction)
     // run set.
     let q = query(77);
-    let (ans, _) = snap.exact(&q, Deadline::NONE).unwrap();
+    let (ans, _) = snap
+        .exact_bounded(&q, f64::INFINITY, Deadline::NONE)
+        .unwrap();
     assert!(ans.is_some());
     assert_eq!(snap.run_count(), pinned_runs);
 
@@ -196,13 +200,19 @@ fn snapshot_queries_honor_deadlines_without_blocking_on_writer() {
         })
     };
     for seed in 0..5 {
-        let (ans, _) = snap.exact(&query(seed), Deadline::NONE).unwrap();
+        let (ans, _) = snap
+            .exact_bounded(&query(seed), f64::INFINITY, Deadline::NONE)
+            .unwrap();
         assert!(ans.is_some());
     }
     // An already-expired deadline aborts with the typed error rather than
     // hanging or panicking, even mid-churn.
     let err = snap
-        .exact(&query(99), Deadline::at(std::time::Instant::now()))
+        .exact_bounded(
+            &query(99),
+            f64::INFINITY,
+            Deadline::at(std::time::Instant::now()),
+        )
         .unwrap_err();
     assert!(err.is_deadline(), "got {err}");
     writer.join().unwrap();
