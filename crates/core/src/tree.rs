@@ -394,7 +394,7 @@ impl CoconutTree {
         };
         // The on-disk index does not record its own range; `open` assumes
         // the common whole-dataset case (`open_range` is told it by the LSM
-        // manifest), and `load_summaries` re-derives and cross-checks the
+        // manifest), and `Summaries::load` re-derives and cross-checks the
         // contiguous position range from the entries themselves.
         tree.rebuild_levels();
         Ok(tree)

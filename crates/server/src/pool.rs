@@ -90,27 +90,22 @@ impl<H: Handler> Pool<H> {
         }
     }
 
-    /// Hand a connection to the pool. Returns `false` (connection refused,
-    /// `ERR busy` already written) when the admission queue is full. The
-    /// refusal is counted ([`Handler::on_rejected`]) *before* the reply is
-    /// written, so a client or scrape that has seen `ERR busy` also sees
-    /// the counter that records it.
-    pub fn dispatch(&self, stream: TcpStream) -> bool {
-        let tx = match self.tx.lock().clone() {
-            Some(tx) => tx,
-            None => {
-                self.handler.on_rejected();
-                return false;
-            }
+    /// Hand a connection to the pool. When the admission queue is full the
+    /// connection is refused with `ERR busy`; the refusal is counted
+    /// ([`Handler::on_rejected`]) *before* the reply is written, so a
+    /// client or scrape that has seen `ERR busy` also sees the counter
+    /// that records it.
+    pub fn dispatch(&self, stream: TcpStream) {
+        let Some(tx) = self.tx.lock().clone() else {
+            self.handler.on_rejected();
+            return;
         };
-        match tx.try_send(stream) {
-            Ok(()) => true,
-            Err(TrySendError::Full(mut stream)) | Err(TrySendError::Disconnected(mut stream)) => {
-                self.handler.on_rejected();
-                let _ = stream.write_all(b"ERR busy: admission queue full\n");
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-                false
-            }
+        if let Err(TrySendError::Full(mut stream)) | Err(TrySendError::Disconnected(mut stream)) =
+            tx.try_send(stream)
+        {
+            self.handler.on_rejected();
+            let _ = stream.write_all(b"ERR busy: admission queue full\n");
+            let _ = stream.shutdown(std::net::Shutdown::Both);
         }
     }
 
