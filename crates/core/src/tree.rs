@@ -1102,7 +1102,8 @@ impl SeriesFetcher for LeafOrderFetcher<'_> {
 }
 
 /// In-memory summarization arrays for SIMS, shared by Coconut-Tree and
-/// Coconut-Trie (both built lazily and dropped on updates).
+/// Coconut-Trie: a bulk load fills them; after an open or an update they
+/// are loaded from the leaves by the next query.
 pub(crate) struct Summaries {
     /// Keys in raw-file order; index `i` is position `range.start + i`.
     keys_by_pos: Vec<ZKey>,
@@ -1114,7 +1115,7 @@ pub(crate) struct Summaries {
     leaf_starts: Vec<u64>,
 }
 
-/// An index's lazily built [`Summaries`] (`None` until the first query).
+/// An index's [`Summaries`] (`None` until built or loaded).
 pub(crate) type SummaryCache = RwLock<Option<Arc<Summaries>>>;
 
 impl Summaries {
